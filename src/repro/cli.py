@@ -52,10 +52,10 @@ def _obs_begin(args: argparse.Namespace) -> dict:
     Returns a session dict carrying everything :func:`_obs_end` must tear
     down: the live HTTP server (``--serve``), the console renderer
     (``--progress``), the JSONL event sink (``--events``), the structured
-    log plane (``--logs``) and the sampling profiler (``--profile``).
+    log export (``--logs``) and the sampling profiler (``--profile``).
     ``--serve`` turns on both tracing (so ``/metrics`` has live content)
     and the event bus (so ``/events`` streams); ``--progress``/``--events``
-    need only the event bus.
+    /``--logs`` need only the event bus.
 
     Whenever any plane is armed, the invocation also mints a correlation
     id and installs it process-wide, so every span, event and log record
@@ -70,8 +70,9 @@ def _obs_begin(args: argparse.Namespace) -> dict:
     wants_trace = bool(
         getattr(args, "trace", None) or getattr(args, "metrics", None) or serve
     )
-    wants_events = bool(serve or progress or events_path)
-    if not (wants_trace or wants_events or logs_path or profile_path):
+    # Log records ride the event bus, so --logs arms it too.
+    wants_events = bool(serve or progress or events_path or logs_path)
+    if not (wants_trace or wants_events or profile_path):
         return session
     from repro import obs
 
@@ -83,9 +84,6 @@ def _obs_begin(args: argparse.Namespace) -> dict:
     if wants_events and not obs.events_enabled():
         obs.enable_events()
         session["disable_events"] = True
-    if logs_path and not obs.logs_enabled():
-        obs.enable_logs()
-        session["disable_logs"] = True
     if logs_path:
         session["logs_path"] = logs_path
     if events_path:
@@ -162,7 +160,7 @@ def _obs_end(
     if session.get("logs_path") is not None:
         from repro import obs
 
-        path = obs.log_plane().write_jsonl(session["logs_path"])
+        path = obs.event_bus().write_logs(session["logs_path"])
         print(f"structured log written to {path}")
         artifacts.append(("log", path))
     if session.get("renderer") is not None:
@@ -174,7 +172,6 @@ def _obs_end(
     if (
         session.get("disable_events")
         or session.get("disable_tracing")
-        or session.get("disable_logs")
         or session.get("cid")
     ):
         from repro import obs
@@ -183,8 +180,6 @@ def _obs_end(
             obs.disable_events()
         if session.get("disable_tracing"):
             obs.disable()
-        if session.get("disable_logs"):
-            obs.disable_logs()
         if session.get("cid"):
             obs.set_correlation_id(None)
     ledger = getattr(same, "ledger", None) if same is not None else None
@@ -616,15 +611,13 @@ def _cmd_serve_analysis(args: argparse.Namespace) -> int:
     from repro.obs.ledger import AnalysisLedger
     from repro.service import AnalysisService, AnalysisServiceServer
 
-    # The service plane wants metrics (/metrics has live content), the
-    # event bus (/events streams job lifecycle, /healthz aggregates it)
-    # and the log plane (per-job structured logs become ledger artifacts).
+    # The service plane wants metrics (/metrics has live content) and the
+    # record bus (/events streams job lifecycle, /healthz aggregates it,
+    # per-job structured logs become ledger artifacts).
     if not obs.enabled():
         obs.enable()
     if not obs.events_enabled():
         obs.enable_events()
-    if not obs.logs_enabled():
-        obs.enable_logs()
 
     slo_objectives = None
     if args.slo:

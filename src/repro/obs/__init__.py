@@ -27,18 +27,17 @@ Pool workers trace into their own process-local state;
 (parent side) move spans and metrics across the process boundary with
 deterministic id remapping, so merged traces are reproducible.
 
-A second, independently-switched plane carries **live telemetry**: a typed
-progress :class:`~repro.obs.events.EventBus` (:func:`enable_events` /
-:func:`emit_event`), an HTTP server exposing ``/metrics`` ``/healthz``
-``/events`` (:func:`serve_live`), and a sampling profiler
-(``repro.obs.profile``).  Worker events ride the same
+A second, independently-switched plane is the **record bus**
+(:class:`~repro.obs.events.EventBus`, :func:`enable_events`): typed
+progress events (:func:`emit_event`) and leveled structured log records
+(:func:`log`) in one bounded store, read through filtered views — the
+``/events`` SSE stream, ``--progress``, ``--events PATH`` and
+``--logs PATH``.  An HTTP server exposes ``/metrics`` ``/healthz``
+``/events`` (:func:`serve_live`), and a sampling profiler lives in
+``repro.obs.profile``.  Worker records ride the same
 ``drain_worker_data`` / ``ingest_worker_data`` delta path as spans.
 
-A third plane carries **structured logs** (:func:`enable_logs` /
-:func:`log`, ``repro.obs.logs``): leveled JSONL records for service
-operators, again independently switched and worker-drained.
-
-Cutting across all three planes is the **correlation context**: the
+Cutting across both planes is the **correlation context**: the
 analysis service mints a ``correlation_id`` per job (the CLI per
 invocation), installs it with :func:`correlation` /
 :func:`set_correlation_id`, and every event, span attribute, log record
@@ -75,14 +74,13 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.events import ConsoleProgress, Event, EventBus
-from repro.obs.logs import LogRecord, StructuredLog
 from repro.obs.tracing import NOOP_SPAN, Span, SpanRecord, Tracer
 
 __all__ = [
     "enable", "disable", "enabled", "reset",
     "enable_events", "disable_events", "events_enabled",
     "emit_event", "event_bus", "serve_live",
-    "enable_logs", "disable_logs", "logs_enabled", "log", "log_plane",
+    "enable_logs", "log",
     "mint_correlation_id", "set_correlation_id", "correlation_id",
     "correlation",
     "span", "current_span_id", "current_span_name", "tracer",
@@ -94,16 +92,13 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricError",
     "Span", "SpanRecord", "Tracer", "NOOP_SPAN", "DEFAULT_TIME_BUCKETS",
     "Event", "EventBus", "ConsoleProgress",
-    "LogRecord", "StructuredLog",
 ]
 
 _ENABLED: bool = False
 _EVENTS_ENABLED: bool = False
-_LOGS_ENABLED: bool = False
 _TRACER = Tracer()
 _REGISTRY = MetricsRegistry()
 _BUS = EventBus()
-_LOG = StructuredLog()
 
 # -- correlation context ----------------------------------------------------
 # Thread-local stack over a process-global default: the service's worker
@@ -111,7 +106,16 @@ _LOG = StructuredLog()
 # pool worker *processes* are single-job at a time and get the id installed
 # once via initargs (the global default).
 
-_CID_LOCAL = threading.local()
+
+class _CorrelationStack(threading.local):
+    """Per-thread scope stack, created on a thread's first access (every
+    span reads it, so the lookup must never miss)."""
+
+    def __init__(self) -> None:
+        self.stack: List[str] = []
+
+
+_CID_LOCAL = _CorrelationStack()
 _CID_GLOBAL: Optional[str] = None
 
 
@@ -131,10 +135,8 @@ def set_correlation_id(cid: Optional[str]) -> None:
 def correlation_id() -> Optional[str]:
     """The ambient correlation id: innermost :func:`correlation` scope on
     this thread, else the process-global default, else ``None``."""
-    stack = getattr(_CID_LOCAL, "stack", None)
-    if stack:
-        return stack[-1]
-    return _CID_GLOBAL
+    stack = _CID_LOCAL.stack
+    return stack[-1] if stack else _CID_GLOBAL
 
 
 @contextmanager
@@ -144,10 +146,7 @@ def correlation(cid: Optional[str]) -> Iterator[Optional[str]]:
     if cid is None:
         yield None
         return
-    stack = getattr(_CID_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _CID_LOCAL.stack = stack
+    stack = _CID_LOCAL.stack
     stack.append(str(cid))
     try:
         yield str(cid)
@@ -179,17 +178,16 @@ def reset() -> None:
     _TRACER.clear()
     _REGISTRY.reset()
     _BUS.clear()
-    _LOG.clear()
     _CID_GLOBAL = None
 
 
-# -- the live-telemetry plane (events; independently switched) --------------
+# -- the record bus (events + logs; independently switched) -----------------
 
 
 def enable_events() -> None:
-    """Turn the progress event bus on (module-wide, independent of
-    :func:`enable` — tracing without events and events without tracing are
-    both valid configurations)."""
+    """Turn the record bus — progress events and log records — on
+    (module-wide, independent of :func:`enable`: tracing without events
+    and events without tracing are both valid configurations)."""
     global _EVENTS_ENABLED
     _EVENTS_ENABLED = True
 
@@ -225,35 +223,18 @@ def serve_live(host: str = "127.0.0.1", port: int = 0):
     return LiveTelemetryServer(host, port).start()
 
 
-# -- the structured-log plane (independently switched) -----------------------
-
-
-def enable_logs() -> None:
-    """Turn the structured log plane on (module-wide, independent of
-    :func:`enable` and :func:`enable_events`)."""
-    global _LOGS_ENABLED
-    _LOGS_ENABLED = True
-
-
-def disable_logs() -> None:
-    global _LOGS_ENABLED
-    _LOGS_ENABLED = False
-
-
-def logs_enabled() -> bool:
-    return _LOGS_ENABLED
+# Log records ride the event bus, so there is no separate log switch; the
+# old name stays an alias because callers (the repo benchmark among them)
+# still switch logging on by it.
+enable_logs = enable_events
 
 
 def log(level: str, message: str, **fields: object):
-    """Append one structured log record stamped with the ambient
-    correlation id; ``None`` (one flag check) when the plane is off."""
-    if not _LOGS_ENABLED:
+    """Append one leveled log record to the bus, stamped with the ambient
+    correlation id; ``None`` (one flag check) when the bus is disabled."""
+    if not _EVENTS_ENABLED:
         return None
-    return _LOG.log(level, message, cid=correlation_id(), **fields)
-
-
-def log_plane() -> StructuredLog:
-    return _LOG
+    return _BUS.log(level, message, fields, cid=correlation_id())
 
 
 # -- tracing ----------------------------------------------------------------
@@ -263,7 +244,7 @@ def span(name: str, **attrs: object):
     """Start a span (context manager).  No-op singleton when disabled."""
     if not _ENABLED:
         return NOOP_SPAN
-    return _TRACER.span(name, attrs)
+    return Span(_TRACER, name, attrs)
 
 
 def current_span_id() -> Optional[int]:
@@ -306,15 +287,15 @@ def registry() -> MetricsRegistry:
 
 
 def drain_worker_data() -> Optional[Dict[str, object]]:
-    """Worker side: pop this process's spans + metrics (+ events) as a
-    picklable blob.
+    """Worker side: pop this process's spans + metrics (+ bus records) as
+    one picklable envelope with ``spans``/``metrics``/``events`` keys.
 
     Returns ``None`` when observability is entirely disabled, so the parent
     can skip the merge.  Draining *clears* the stores: a long-lived worker
     (the warm campaign pool serves many chunks, possibly across campaigns)
     must hand each chunk's delta to the parent exactly once, never its
     cumulative history."""
-    if not _ENABLED and not _EVENTS_ENABLED and not _LOGS_ENABLED:
+    if not _ENABLED and not _EVENTS_ENABLED:
         return None
     payload: Dict[str, object] = {}
     if _ENABLED:
@@ -324,8 +305,6 @@ def drain_worker_data() -> Optional[Dict[str, object]]:
         payload["metrics"] = snapshot
     if _EVENTS_ENABLED:
         payload["events"] = _BUS.drain_dicts()
-    if _LOGS_ENABLED:
-        payload["logs"] = _LOG.drain_dicts()
     return payload
 
 
@@ -335,10 +314,10 @@ def ingest_worker_data(
 ) -> List[SpanRecord]:
     """Parent side: merge one worker blob under ``parent_id``.
 
-    Spans/metrics merge when tracing is enabled; drained worker events are
-    re-sequenced onto the parent bus when the event plane is enabled — each
-    plane honours its own flag, so a parent with only ``--progress`` does
-    not silently accumulate trace state."""
+    Spans/metrics merge when tracing is enabled; drained worker events and
+    log records are re-sequenced onto the parent bus when the bus is
+    enabled — each plane honours its own flag, so a parent with only
+    ``--progress`` does not silently accumulate trace state."""
     if payload is None:
         return []
     merged: List[SpanRecord] = []
@@ -355,10 +334,6 @@ def ingest_worker_data(
         events = payload.get("events")
         if events:
             _BUS.ingest(events)  # type: ignore[arg-type]
-    if _LOGS_ENABLED:
-        records = payload.get("logs")
-        if records:
-            _LOG.ingest(records)  # type: ignore[arg-type]
     return merged
 
 

@@ -1,29 +1,37 @@
-"""Structured progress events (the ``repro.obs`` live-telemetry substrate).
+"""The ``repro.obs`` record bus: progress events and structured logs.
 
-Spans and metrics answer "what happened" after a run; the event bus answers
-"what is happening" *during* one.  Producers — the campaign engine, the warm
-worker pool, the recovery ladder, the DECISIVE loop — emit small typed
-events through :func:`repro.obs.emit_event`; consumers attach in four ways:
+Spans and metrics answer "what happened" after a run; the bus answers
+"what is happening" *during* one.  It stores two kinds of record in one
+bounded ring, with one sequence counter, one correlation-id index, one
+lock and one worker drain/ingest path:
 
-- a **JSONL sink** (:meth:`EventBus.attach_jsonl`) appends one line per
-  event, flushed immediately, so ``tail -f`` works mid-campaign;
-- **callback subscribers** (:meth:`EventBus.add_callback`) drive the
-  ``--progress`` console renderer in-process;
-- **queue subscribers** (:meth:`EventBus.subscribe`) feed the ``/events``
-  SSE endpoint, with bounded-buffer replay via ``?since=SEQ``;
-- **worker draining** (:meth:`EventBus.drain_dicts` /
-  :meth:`EventBus.ingest`) ships events out of pool workers on the same
-  per-chunk delta path as spans and metrics, re-sequenced deterministically
-  on the parent (chunk-submission order), preserving origin pid/timestamp.
+- **progress events**, emitted through :func:`repro.obs.emit_event` by the
+  campaign engine, the warm worker pool, the recovery ladder and the
+  DECISIVE loop;
+- **log records** (an :class:`Event` whose ``level`` is set), emitted
+  through :func:`repro.obs.log` — leveled narrative for service operators.
+
+Consumers read filtered views.  The progress consumers never see a log
+record: the flushed **JSONL sink** (:meth:`EventBus.attach_jsonl`,
+``--events``), **callbacks** (:meth:`EventBus.add_callback`,
+``--progress``) and **queue subscribers** (:meth:`EventBus.subscribe`,
+the ``/events`` SSE stream with ``?since=SEQ`` replay).  The **log view**
+(:meth:`EventBus.logs` / :meth:`EventBus.write_logs`, ``--logs`` and the
+per-job ``service-log`` artifact) never sees a progress event.  **Worker
+draining** (:meth:`EventBus.drain_dicts` / :meth:`EventBus.ingest`) ships
+both kinds out of pool workers on the per-chunk delta path of spans and
+metrics, re-sequenced deterministically on the parent (chunk-submission
+order), preserving origin pid/timestamp/correlation id.
 
 The event taxonomy (see ``docs/observability.md`` for the payload schema):
 ``campaign_started``, ``chunk_completed``, ``job_retried``,
 ``pool_worker_lost``, ``pool_acquired``, ``worker_heartbeat``,
 ``checkpoint_written``, ``campaign_finished``, ``iteration_finished``.
 
-Everything here is dependency-free and lock-protected; with events disabled
-(the default) producers pay a single module-flag check in
-:func:`repro.obs.emit_event` and never reach this module.
+Everything here is dependency-free and lock-protected; with the bus
+disabled (the default) producers pay a single module-flag check in
+:func:`repro.obs.emit_event` / :func:`repro.obs.log` and never reach this
+module.
 """
 
 from __future__ import annotations
@@ -38,22 +46,34 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Union
 
-__all__ = ["Event", "EventBus", "ConsoleProgress", "DEFAULT_BUFFER"]
+__all__ = ["Event", "EventBus", "ConsoleProgress", "DEFAULT_BUFFER", "LEVELS"]
 
-#: Replay-buffer depth: enough for the whole event stream of any test-sized
-#: campaign, bounded so week-long service runs cannot grow without limit.
-DEFAULT_BUFFER = 1024
+#: Ring depth shared by events and log records: enough for the whole record
+#: stream of any test-sized run, bounded so week-long service runs cannot
+#: grow without limit.
+DEFAULT_BUFFER = 4096
+
+#: Log severity order (index = rank).  Unknown levels coerce to ``info``:
+#: a typo'd level must never crash an instrumented hot path.
+LEVELS = ("debug", "info", "warning", "error")
+
+
+def _coerce_level(level: object) -> str:
+    level = str(level).lower()
+    return level if level in LEVELS else "info"
 
 
 @dataclass
 class Event:
-    """One typed progress event.
+    """One record on the bus: a typed progress event, or a log record.
 
-    ``cid`` is the correlation id of the job/invocation the event belongs
+    ``cid`` is the correlation id of the job/invocation the record belongs
     to (``None`` for uncorrelated emitters); it survives the worker
-    drain/ingest round-trip so per-job streams include pool-worker events.
+    drain/ingest round-trip so per-job streams include pool-worker records.
+    A log record has ``type == "log"``, a ``level`` (one of
+    :data:`LEVELS`) and a ``message``; its ``payload`` holds its fields.
     """
 
     seq: int
@@ -62,9 +82,24 @@ class Event:
     pid: int
     payload: Dict[str, object] = field(default_factory=dict)
     cid: Optional[str] = None
+    level: Optional[str] = None  # set on log records only
+    message: str = ""
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
+        if self.level is not None:  # the structured-log JSONL shape
+            out: Dict[str, object] = {
+                "seq": self.seq,
+                "ts": self.ts,
+                "level": self.level,
+                "message": self.message,
+                "pid": self.pid,
+            }
+            if self.cid is not None:
+                out["correlation_id"] = self.cid
+            if self.payload:
+                out["fields"] = dict(self.payload)
+            return out
+        out = {
             "seq": self.seq,
             "type": self.type,
             "ts": self.ts,
@@ -77,6 +112,18 @@ class Event:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Event":
+        if "level" in data:
+            cid = data.get("correlation_id", data.get("cid"))
+            return cls(
+                seq=int(data.get("seq", 0)),
+                type="log",
+                ts=float(data.get("ts", 0.0)),
+                pid=int(data.get("pid", 0)),
+                payload=dict(data.get("fields", {})),  # type: ignore[arg-type]
+                cid=None if cid is None else str(cid),
+                level=_coerce_level(data["level"]),
+                message=str(data.get("message", "")),
+            )
         cid = data.get("cid")
         return cls(
             seq=int(data.get("seq", 0)),
@@ -89,20 +136,21 @@ class Event:
 
 
 class EventBus:
-    """Thread-safe fan-out of :class:`Event` objects with bounded replay.
+    """Thread-safe store and fan-out of progress events and log records.
 
     A single bus instance lives per process (module singleton in
     ``repro.obs``); pool workers emit into their own process-local bus and
-    the parent re-sequences their drained events with :meth:`ingest`.
+    the parent re-sequences their drained records with :meth:`ingest`.
     """
 
     def __init__(self, buffer: int = DEFAULT_BUFFER) -> None:
         self._lock = threading.Lock()
         self._seq = 0
         self._buffer: "deque[Event]" = deque(maxlen=buffer)
-        #: Correlation-id index over ``_buffer``: per-stream replay without
-        #: scanning the whole ring.  Entries share the Event objects with
-        #: ``_buffer`` and are trimmed as the ring evicts.
+        #: Correlation-id index over ``_buffer``: per-stream replay and
+        #: per-job log export without scanning the whole ring.  Entries
+        #: share the Event objects with ``_buffer`` and are trimmed as the
+        #: ring evicts.
         self._by_cid: Dict[str, "deque[Event]"] = {}
         self._queues: List["tuple[queue.Queue[Event], Optional[str]]"] = []
         self._callbacks: List[Callable[[Event], None]] = []
@@ -118,29 +166,31 @@ class EventBus:
         payload: Optional[Mapping[str, object]] = None,
         cid: Optional[str] = None,
     ) -> Event:
-        """Publish one event (allocating the next sequence number)."""
+        """Publish one progress event (allocating the next sequence number)."""
         return self._publish(
-            type_, time.time(), os.getpid(), dict(payload or {}), cid
+            Event(0, type_, time.time(), os.getpid(), dict(payload or {}), cid)
         )
 
-    def _publish(
+    def log(
         self,
-        type_: str,
-        ts: float,
-        pid: int,
-        payload: Dict[str, object],
+        level: str,
+        message: str,
+        fields: Optional[Mapping[str, object]] = None,
         cid: Optional[str] = None,
     ) -> Event:
+        """Append one leveled log record stamped with ``cid`` and this pid."""
+        return self._publish(
+            Event(
+                0, "log", time.time(), os.getpid(), dict(fields or {}), cid,
+                _coerce_level(level), str(message),
+            )
+        )
+
+    def _publish(self, event: Event) -> Event:
         with self._lock:
             self._seq += 1
-            event = Event(
-                seq=self._seq, type=type_, ts=ts, pid=pid, payload=payload, cid=cid
-            )
-            if (
-                self._buffer.maxlen is not None
-                and len(self._buffer) == self._buffer.maxlen
-                and self._buffer
-            ):
+            event.seq = self._seq
+            if len(self._buffer) == self._buffer.maxlen and self._buffer:
                 evicted = self._buffer[0]
                 if evicted.cid is not None:
                     view = self._by_cid.get(evicted.cid)
@@ -149,8 +199,10 @@ class EventBus:
                     if not view:
                         self._by_cid.pop(evicted.cid, None)
             self._buffer.append(event)
-            if cid is not None:
-                self._by_cid.setdefault(cid, deque()).append(event)
+            if event.cid is not None:
+                self._by_cid.setdefault(event.cid, deque()).append(event)
+            if event.level is not None:
+                return event  # log records are read through the log view only
             self._track_status(event)
             if self._sink is not None:
                 try:
@@ -159,7 +211,7 @@ class EventBus:
                 except (OSError, ValueError):
                     self._sink = None  # dead sink: stop writing, keep emitting
             queues = [
-                q for q, want in self._queues if want is None or want == cid
+                q for q, want in self._queues if want is None or want == event.cid
             ]
             callbacks = list(self._callbacks)
         for q in queues:
@@ -282,9 +334,8 @@ class EventBus:
         id-indexed buffer view) and delivered."""
         q: "queue.Queue[Event]" = queue.Queue()
         with self._lock:
-            source = self._buffer if cid is None else self._by_cid.get(cid, ())
-            for event in source:
-                if event.seq > since:
+            for event in self._view(since, cid):
+                if event.level is None:
                     q.put(event)
             self._queues.append((q, cid))
         return q
@@ -315,7 +366,8 @@ class EventBus:
                 except OSError:
                     pass
             for event in self._buffer:
-                handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+                if event.level is None:
+                    handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
             handle.flush()
             self._sink = handle
             self._sink_path = path
@@ -335,45 +387,76 @@ class EventBus:
     # -- worker shipping ---------------------------------------------------
 
     def drain_dicts(self) -> List[Dict[str, object]]:
-        """Worker side: pop buffered events as picklable dicts.
+        """Worker side: pop buffered events and log records as picklable
+        dicts, in emission order.
 
         Like :func:`repro.obs.drain_worker_data`, draining clears the
-        buffer — a warm-pool worker hands each chunk's events to the parent
-        exactly once, never its cumulative history."""
+        buffer — a warm-pool worker hands each chunk's records to the
+        parent exactly once, never its cumulative history."""
         with self._lock:
-            events = [event.to_dict() for event in self._buffer]
+            records = [event.to_dict() for event in self._buffer]
             self._buffer.clear()
             self._by_cid.clear()
-        return events
+        return records
 
-    def ingest(self, events: List[Mapping[str, object]]) -> List[Event]:
-        """Parent side: re-publish drained worker events in order.
+    def ingest(self, records: List[Mapping[str, object]]) -> List[Event]:
+        """Parent side: re-publish drained worker records in order.
 
         Sequence numbers are reallocated on this bus (worker-local seqs are
         meaningless across processes); origin ``ts``, ``pid`` and ``cid``
         are kept, so heartbeats still identify which worker they came from
-        and per-job streams include worker-side events."""
+        and per-job streams include worker-side records."""
         merged: List[Event] = []
-        for data in events:
+        for data in records:
             try:
                 event = Event.from_dict(data)
             except (KeyError, TypeError, ValueError):
                 continue
-            merged.append(
-                self._publish(
-                    event.type, event.ts, event.pid, dict(event.payload), event.cid
-                )
-            )
+            merged.append(self._publish(event))
         return merged
 
-    # -- inspection / lifecycle -------------------------------------------
+    # -- views ---------------------------------------------------------------
+
+    def _view(self, since: int, cid: Optional[str]) -> Iterator[Event]:
+        """Buffered records of both kinds past ``since`` (consume with the
+        lock held)."""
+        source = self._buffer if cid is None else self._by_cid.get(cid, ())
+        return (event for event in source if event.seq > since)
 
     def events(self, since: int = 0, cid: Optional[str] = None) -> List[Event]:
-        """Buffered events with ``seq`` greater than ``since`` (replay);
-        with ``cid``, only the events of that correlation stream."""
+        """Buffered progress events with ``seq`` greater than ``since``
+        (replay); with ``cid``, only the events of that correlation stream."""
         with self._lock:
-            source = self._buffer if cid is None else self._by_cid.get(cid, ())
-            return [event for event in source if event.seq > since]
+            return [e for e in self._view(since, cid) if e.level is None]
+
+    def logs(
+        self,
+        cid: Optional[str] = None,
+        min_level: str = "debug",
+        since: int = 0,
+    ) -> List[Event]:
+        """Buffered log records, optionally one correlation stream (read
+        through the id index, so O(stream) rather than O(ring)) and/or at
+        least ``min_level`` severity."""
+        rank = LEVELS.index(_coerce_level(min_level))
+        with self._lock:
+            return [
+                e for e in self._view(since, cid)
+                if e.level is not None and LEVELS.index(e.level) >= rank
+            ]
+
+    def write_logs(self, path: Union[str, Path], cid: Optional[str] = None) -> Path:
+        """Write the buffered log records (optionally one correlation
+        stream) to ``path`` as JSON lines — the ``--logs`` export and the
+        per-job ledger artifact."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in self.logs(cid=cid):
+                handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+        return path
+
+    # -- inspection / lifecycle -------------------------------------------
 
     def last_seq(self) -> int:
         with self._lock:
@@ -395,7 +478,7 @@ class EventBus:
             return out
 
     def clear(self) -> None:
-        """Drop buffered events, status and the sequence counter.
+        """Drop buffered records, status and the sequence counter.
 
         Subscribers, callbacks and an attached sink survive — ``clear`` is
         the per-run reset (`obs.reset`), not a teardown."""

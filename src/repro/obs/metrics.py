@@ -127,11 +127,20 @@ class Histogram:
         self._count = 0
 
     def observe(self, value: Union[int, float]) -> None:
-        index = bisect.bisect_left(self.bounds, float(value))
+        index = bisect.bisect_left(self.bounds, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+
+    def observe_many(self, values: Sequence[Union[int, float]]) -> None:
+        """Observe a batch under one lock acquisition."""
+        indices = [bisect.bisect_left(self.bounds, value) for value in values]
+        with self._lock:
+            for index in indices:
+                self._counts[index] += 1
+            self._sum += sum(values)
+            self._count += len(indices)
 
     @property
     def count(self) -> int:
@@ -223,35 +232,31 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: Dict[str, Metric] = {}
 
-    def _get_or_create(self, name: str, factory) -> Metric:
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = factory()
-                self._metrics[name] = metric
-            return metric
+    def _get(self, name: str, kind: type, *args: object) -> Metric:
+        # Lock-free hit: instrumented hot paths look up existing names on
+        # every call, and a dict read is atomic under the GIL.
+        metric = self._metrics.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    metric = self._metrics[name] = kind(name, *args)
+        if type(metric) is not kind:
+            raise MetricError(f"{name!r} is already a {type(metric).__name__}")
+        return metric  # type: ignore[return-value]
 
     def counter(self, name: str) -> Counter:
-        metric = self._get_or_create(name, lambda: Counter(name))
-        if not isinstance(metric, Counter):
-            raise MetricError(f"{name!r} is already a {type(metric).__name__}")
-        return metric
+        return self._get(name, Counter)  # type: ignore[return-value]
 
     def gauge(self, name: str) -> Gauge:
-        metric = self._get_or_create(name, lambda: Gauge(name))
-        if not isinstance(metric, Gauge):
-            raise MetricError(f"{name!r} is already a {type(metric).__name__}")
-        return metric
+        return self._get(name, Gauge)  # type: ignore[return-value]
 
     def histogram(
         self, name: str, buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
-        metric = self._get_or_create(
-            name, lambda: Histogram(name, buckets or DEFAULT_TIME_BUCKETS)
+        return self._get(  # type: ignore[return-value]
+            name, Histogram, buckets or DEFAULT_TIME_BUCKETS
         )
-        if not isinstance(metric, Histogram):
-            raise MetricError(f"{name!r} is already a {type(metric).__name__}")
-        return metric
 
     def metrics(self) -> List[Metric]:
         with self._lock:

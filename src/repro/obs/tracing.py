@@ -4,8 +4,9 @@ A *span* is a named, timed region of execution with key/value attributes;
 spans nest, forming a tree per campaign / analysis run.  Design points:
 
 - **monotonic clocks** — durations come from :func:`time.perf_counter_ns`
-  (never wall clock); a wall-clock epoch is recorded once per span only so
-  exporters can align spans from different processes on a display axis;
+  (never wall clock); each span also carries a wall-clock epoch, derived
+  from its monotonic start through a per-process offset, only so exporters
+  can align spans from different processes on a display axis;
 - **thread safety** — the active-span stack is thread-local, so spans
   started on different threads nest independently; finished records are
   appended under a lock;
@@ -15,7 +16,10 @@ spans nest, forming a tree per campaign / analysis run.  Design points:
   trace is identical run-to-run for a fixed chunking;
 - **zero cost when disabled** — callers go through :func:`repro.obs.span`,
   which returns the module-level :data:`NOOP_SPAN` singleton without
-  touching this module's machinery at all.
+  touching this module's machinery at all;
+- **cheap when enabled** — a campaign opens two spans per injection job,
+  so an enabled span does no system call (the pid and the wall-clock
+  offset are cached per process) and no failing attribute lookup.
 """
 
 from __future__ import annotations
@@ -24,23 +28,70 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
+
+#: This process's pid and wall-minus-monotonic clock offset, refreshed in a
+#: forked child; spans read them instead of calling ``os.getpid()`` and
+#: ``time.time_ns()`` each.
+_PID = 0
+_EPOCH_OFFSET_NS = 0
 
 
-@dataclass
+def _stamp_process() -> None:
+    global _PID, _EPOCH_OFFSET_NS
+    _PID = os.getpid()
+    _EPOCH_OFFSET_NS = time.time_ns() - time.perf_counter_ns()
+
+
+_stamp_process()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_stamp_process)
+
+
 class SpanRecord:
-    """One finished span."""
+    """One finished span (a ``__slots__`` record: spans are allocated on
+    the campaign hot path)."""
 
-    span_id: int
-    parent_id: Optional[int]
-    name: str
-    start_ns: int = 0  # perf_counter_ns at entry (process-local, monotonic)
-    end_ns: int = 0  # perf_counter_ns at exit
-    epoch_ns: int = 0  # time_ns at entry (wall; cross-process alignment only)
-    attrs: Dict[str, object] = field(default_factory=dict)
-    pid: int = 0
-    thread: str = ""
+    __slots__ = (
+        "span_id", "parent_id", "name", "start_ns", "end_ns", "epoch_ns",
+        "attrs", "pid", "thread",
+    )
+
+    def __init__(
+        self,
+        span_id: int,
+        parent_id: Optional[int],
+        name: str,
+        start_ns: int = 0,  # perf_counter_ns at entry (process-local)
+        end_ns: int = 0,  # perf_counter_ns at exit
+        epoch_ns: int = 0,  # wall ns at entry (cross-process alignment only)
+        attrs: Optional[Dict[str, object]] = None,
+        pid: int = 0,
+        thread: str = "",
+    ) -> None:
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.start_ns = start_ns
+        self.end_ns = end_ns
+        self.epoch_ns = epoch_ns
+        self.attrs = {} if attrs is None else attrs
+        self.pid = pid
+        self.thread = thread
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpanRecord):
+            return NotImplemented
+        return all(
+            getattr(self, slot) == getattr(other, slot)
+            for slot in SpanRecord.__slots__
+        )
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{slot}={getattr(self, slot)!r}" for slot in SpanRecord.__slots__
+        )
+        return f"SpanRecord({fields})"
 
     @property
     def duration_ns(self) -> int:
@@ -102,37 +153,78 @@ class _NoOpSpan:
 NOOP_SPAN = _NoOpSpan()
 
 
-class Span:
-    """A live span; use as a context manager."""
+class Span(SpanRecord):
+    """A live span; use as a context manager.
 
-    __slots__ = ("_tracer", "record")
+    A span is its own finished record — one allocation per span on the hot
+    path — and remembers its thread's active-span stack, so entering and
+    leaving it need no thread-local lookup."""
 
-    def __init__(self, tracer: "Tracer", record: SpanRecord) -> None:
+    __slots__ = ("_tracer", "_stack")
+
+    def __init__(
+        self, tracer: "Tracer", name: str, attrs: Dict[str, object]
+    ) -> None:
+        # The attrs dict is taken over, not copied: the facade builds it
+        # fresh from keyword arguments on every call.
+        if tracer.cid_provider is not None:
+            cid = tracer.cid_provider()
+            if cid is not None:
+                attrs.setdefault("correlation_id", cid)
+        state = tracer._local
+        SpanRecord.__init__(
+            self, next(tracer._ids), None, name, 0, 0, 0, attrs, _PID,
+            state.thread_name,
+        )
         self._tracer = tracer
-        self.record = record
+        self._stack = state.stack
+
+    @property
+    def record(self) -> SpanRecord:
+        return self
 
     def set(self, **attrs: object) -> "Span":
         """Attach/overwrite attributes on the span."""
-        self.record.attrs.update(attrs)
+        self.attrs.update(attrs)
         return self
 
     def __enter__(self) -> "Span":
-        record = self.record
-        stack = self._tracer._stack()
-        record.parent_id = stack[-1][0] if stack else None
-        stack.append((record.span_id, record.name))
-        record.epoch_ns = time.time_ns()
-        record.start_ns = time.perf_counter_ns()
+        stack = self._stack
+        self.parent_id = stack[-1].span_id if stack else None
+        stack.append(self)
+        self.start_ns = start = time.perf_counter_ns()
+        self.epoch_ns = start + _EPOCH_OFFSET_NS
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        record = self.record
-        record.end_ns = time.perf_counter_ns()
+        self.end_ns = time.perf_counter_ns()
         if exc_type is not None:
-            record.attrs.setdefault("error", getattr(exc_type, "__name__", str(exc_type)))
-        self._tracer._pop(record.span_id)
-        self._tracer._finish(record)
+            self.attrs.setdefault("error", getattr(exc_type, "__name__", str(exc_type)))
+        stack = self._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        else:
+            # Tolerate exotic exits (generators suspended across spans):
+            # remove this span wherever it is, rather than corrupting the
+            # stack.
+            for index in range(len(stack) - 1, -1, -1):
+                if stack[index] is self:
+                    del stack[index]
+                    break
+        # list.append is atomic under the GIL; the lock is only needed by
+        # operations that swap or iterate the list (records/drain/clear).
+        self._tracer._records.append(self)
         return False
+
+
+class _ThreadState(threading.local):
+    """Per-thread tracer state, initialised on a thread's first access (so
+    reads never take the slow missing-attribute path)."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+        # The name cannot change out from under the running thread.
+        self.thread_name = threading.current_thread().name
 
 
 class Tracer:
@@ -144,7 +236,7 @@ class Tracer:
         # itertools.count.__next__ is atomic under the GIL — id allocation
         # on the span hot path needs no lock.
         self._ids = itertools.count(1)
-        self._local = threading.local()
+        self._local = _ThreadState()
         #: Optional zero-arg callable returning the ambient correlation id
         #: (``repro.obs`` wires its correlation context here).  When set and
         #: returning a value, spans carry a ``correlation_id`` attribute —
@@ -153,74 +245,22 @@ class Tracer:
         self.cid_provider: Optional[Callable[[], Optional[str]]] = None
 
     # -- the thread-local active-span stack -------------------------------
-    # Entries are ``(span_id, name)`` tuples: the id drives parenting and
-    # the ledger's trace_span linkage; the name lets the sampling profiler
-    # label stacks without a lock or a record lookup from a signal handler.
-
-    def _stack(self) -> List[Tuple[int, str]]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def _thread_name(self) -> str:
-        # Cached per thread: current_thread() is a dict lookup per call,
-        # and the name cannot change out from under the running thread.
-        name = getattr(self._local, "thread_name", None)
-        if name is None:
-            name = threading.current_thread().name
-            self._local.thread_name = name
-        return name
+    # Entries are the live spans: the id drives parenting and the ledger's
+    # trace_span linkage; the name lets the sampling profiler label stacks
+    # without a lock or a record lookup from a signal handler.
 
     def current_span_id(self) -> Optional[int]:
-        stack = self._stack()
-        return stack[-1][0] if stack else None
+        stack = self._local.stack
+        return stack[-1].span_id if stack else None
 
     def current_span_name(self) -> Optional[str]:
-        stack = self._stack()
-        return stack[-1][1] if stack else None
-
-    def _push(self, span_id: int, name: str = "") -> None:
-        self._stack().append((span_id, name))
-
-    def _pop(self, span_id: int) -> None:
-        stack = self._stack()
-        # Tolerate exotic exits (generators suspended across spans): pop the
-        # id wherever it is, rather than corrupting the stack.
-        if stack and stack[-1][0] == span_id:
-            stack.pop()
-        else:
-            for index in range(len(stack) - 1, -1, -1):
-                if stack[index][0] == span_id:
-                    del stack[index]
-                    break
+        stack = self._local.stack
+        return stack[-1].name if stack else None
 
     # -- span lifecycle ---------------------------------------------------
 
     def span(self, name: str, attrs: Optional[Dict[str, object]] = None) -> Span:
-        # The attrs dict is taken over, not copied: the facade builds it
-        # fresh from keyword arguments on every call.
-        if self.cid_provider is not None:
-            cid = self.cid_provider()
-            if cid is not None:
-                if attrs is None:
-                    attrs = {}
-                attrs.setdefault("correlation_id", cid)
-        record = SpanRecord(
-            span_id=next(self._ids),
-            parent_id=None,
-            name=name,
-            attrs=attrs if attrs is not None else {},
-            pid=os.getpid(),
-            thread=self._thread_name(),
-        )
-        return Span(self, record)
-
-    def _finish(self, record: SpanRecord) -> None:
-        # list.append is atomic under the GIL; the lock is only needed by
-        # operations that swap or iterate the list (records/drain/clear).
-        self._records.append(record)
+        return Span(self, name, {} if attrs is None else attrs)
 
     # -- access / merge ---------------------------------------------------
 

@@ -225,6 +225,19 @@ def _readings_from_solution(
     return readings
 
 
+def _observe_job_times(walls: Sequence[float], seconds: Sequence[float]) -> None:
+    """Feed the per-job histograms one batch per progress tick or pool
+    chunk: a registry lookup plus a locked observe per job would cost as
+    much as the job's span.  Callers batch before the tick's progress
+    event, so a ``/metrics`` scrape it triggers sees every finished job."""
+    if not obs.enabled():
+        return
+    if walls:
+        obs.histogram("campaign_job_wall_seconds").observe_many(walls)
+    if seconds:
+        obs.histogram("campaign_job_seconds").observe_many(seconds)
+
+
 def _execute_job(
     conversion: ElectricalConversion,
     compiled: Optional[CompiledSystem],
@@ -237,7 +250,7 @@ def _execute_job(
 
     With observability enabled, each execution is a ``campaign.job`` span
     (created in whichever process runs the job — the parent merges worker
-    spans afterwards) and feeds the ``campaign_job_seconds`` histogram.
+    spans afterwards).
     """
     if not obs.enabled():
         return _execute_job_impl(conversion, compiled, job, analysis, t_stop, dt)
@@ -247,12 +260,8 @@ def _execute_job(
         component=job.component,
         failure_mode=job.failure_mode,
     ) as sp:
-        started = time.perf_counter()
         outcome = _execute_job_impl(
             conversion, compiled, job, analysis, t_stop, dt
-        )
-        obs.histogram("campaign_job_seconds").observe(
-            time.perf_counter() - started
         )
         sp.set(outcome=outcome[0])
         return outcome
@@ -298,7 +307,7 @@ def _run_job_isolated(
     dt: float,
     policy: RetryPolicy,
     timeout: Optional[float],
-) -> Tuple[_Outcome, int, int, float]:
+) -> Tuple[_Outcome, int, int, float, Optional[float]]:
     """Run one job under the fault-tolerance contract.
 
     Never raises: circuit-level failures stay ``('error', …)`` outcomes
@@ -306,20 +315,18 @@ def _run_job_isolated(
     with exponential backoff up to ``policy.max_retries``, runaway solves
     are cut off after ``timeout`` seconds, and anything else becomes a
     ``('failed', JobFailure dict)`` outcome.  Returns ``(outcome,
-    retries_used, timeouts, wall_seconds)`` so the caller can aggregate
-    counters — and the end-to-end per-job wall time (all attempts plus
-    backoff sleeps, feeding ``campaign_job_wall_seconds`` and the
-    ``--stats`` percentiles; ``campaign_job_seconds`` stays the
-    per-*attempt* execution time) — across process boundaries.
+    retries_used, timeouts, wall_seconds, attempt_seconds)`` so the caller
+    can aggregate counters — the end-to-end per-job wall time (all
+    attempts plus backoff sleeps, feeding ``campaign_job_wall_seconds``
+    and the ``--stats`` percentiles) and the execution time of the attempt
+    that returned (``campaign_job_seconds``; ``None`` when no attempt did)
+    — across process boundaries.
     """
     started = time.perf_counter()
-    outcome, retries, timeouts = _attempt_job(
+    outcome, retries, timeouts, seconds = _attempt_job(
         conversion, compiled, job, analysis, t_stop, dt, policy, timeout
     )
-    wall = time.perf_counter() - started
-    if obs.enabled():
-        obs.histogram("campaign_job_wall_seconds").observe(wall)
-    return outcome, retries, timeouts, wall
+    return outcome, retries, timeouts, time.perf_counter() - started, seconds
 
 
 def _attempt_job(
@@ -331,30 +338,32 @@ def _attempt_job(
     dt: float,
     policy: RetryPolicy,
     timeout: Optional[float],
-) -> Tuple[_Outcome, int, int]:
+) -> Tuple[_Outcome, int, int, Optional[float]]:
     """The retry loop behind :func:`_run_job_isolated`."""
     attempt = 0
     while True:
         try:
             with job_deadline(timeout):
+                started = time.perf_counter()
                 outcome = _execute_job(
                     conversion, compiled, job, analysis, t_stop, dt
                 )
-            return outcome, attempt, 0
+                seconds = time.perf_counter() - started
+            return outcome, attempt, 0, seconds
         except JobTimeoutError as exc:
             # Deterministic work that ran away once will run away again:
             # record the timeout, don't burn retries on it.
             failure = JobFailure.from_exception(
                 job, exc, kind="timeout", retries=attempt
             )
-            return ("failed", failure.to_dict()), attempt, 1
+            return ("failed", failure.to_dict()), attempt, 1, None
         except TRANSIENT_ERRORS as exc:
             attempt += 1
             if attempt > policy.max_retries:
                 failure = JobFailure.from_exception(
                     job, exc, retries=attempt - 1
                 )
-                return ("failed", failure.to_dict()), attempt - 1, 0
+                return ("failed", failure.to_dict()), attempt - 1, 0, None
             obs.emit_event(
                 "job_retried", job=job.index, component=job.component,
                 attempt=attempt, error=type(exc).__name__,
@@ -371,7 +380,7 @@ def _attempt_job(
                 time.sleep(policy.delay(attempt))
         except Exception as exc:  # noqa: BLE001 — per-job isolation
             failure = JobFailure.from_exception(job, exc, retries=attempt)
-            return ("failed", failure.to_dict()), attempt, 0
+            return ("failed", failure.to_dict()), attempt, 0, None
 
 
 def _primed_system(
@@ -410,7 +419,6 @@ def _campaign_worker_init(
     job_timeout: Optional[float] = None,
     solver_backend: Optional[str] = None,
     events_enabled: bool = False,
-    logs_enabled: bool = False,
     correlation_id: Optional[str] = None,
 ) -> None:
     if trace_enabled:
@@ -418,12 +426,10 @@ def _campaign_worker_init(
         # method copies the parent's already-recorded spans).
         obs.enable()
     if events_enabled:
-        # The event plane switches independently of tracing (a --progress
-        # run without --trace still needs worker heartbeats).
+        # The record bus switches independently of tracing (a --progress
+        # run without --trace still needs worker heartbeats and logs).
         obs.enable_events()
-    if logs_enabled:
-        obs.enable_logs()
-    if trace_enabled or events_enabled or logs_enabled:
+    if trace_enabled or events_enabled:
         obs.reset()
     # After reset (which clears the correlation context): a worker process
     # serves exactly one campaign configuration, so the job's id is its
@@ -465,21 +471,25 @@ def _campaign_worker_chunk(
     job_timeout: Optional[float] = _WORKER_STATE.get("job_timeout")
     results: List[Tuple[int, _Outcome]] = []
     job_wall_times: List[float] = []
+    job_seconds: List[float] = []
     extras: Dict[str, object] = {
         "retries": 0, "timeouts": 0, "job_wall_times": job_wall_times,
+        "job_seconds": job_seconds,
     }
     # One heartbeat per chunk: the event's pid identifies this worker, so
     # the parent (and /events subscribers) can see which warm-pool workers
     # are actually serving — it rides home in the drained payload below.
     obs.emit_event("worker_heartbeat", chunk_jobs=len(chunk))
     for job in chunk:
-        outcome, retries, timeouts, wall = _run_job_isolated(
+        outcome, retries, timeouts, wall, seconds = _run_job_isolated(
             conversion, compiled, job, analysis, t_stop, dt,
             policy, job_timeout,
         )
         extras["retries"] += retries  # type: ignore[operator]
         extras["timeouts"] += timeouts  # type: ignore[operator]
         job_wall_times.append(wall)
+        if seconds is not None:
+            job_seconds.append(seconds)
         results.append((job.index, outcome))
     # Report this chunk's *delta*, not the worker's cumulative counters: a
     # worker serving several chunks would otherwise double-count earlier
@@ -765,14 +775,17 @@ class FaultInjectionCampaign:
             )
         outcomes: Dict[int, _Outcome] = {}
         emitted_at = 0
+        job_seconds: List[float] = []  # since the last progress tick
         for position, job in enumerate(jobs, start=1):
-            outcome, retries, timeouts, wall = _run_job_isolated(
+            outcome, retries, timeouts, wall, seconds = _run_job_isolated(
                 conversion, compiled, job, self.analysis,
                 self.t_stop, self.dt, self.retry_policy, self.job_timeout,
             )
             stats.retries += retries
             stats.timeouts += timeouts
             self._job_wall_times.append(wall)
+            if seconds is not None:
+                job_seconds.append(seconds)
             outcomes[job.index] = outcome
             if checkpoint is not None:
                 checkpoint.record(job, outcome)
@@ -781,6 +794,10 @@ class FaultInjectionCampaign:
             if position % _CHECKPOINT_EVERY == 0 or position == len(jobs):
                 # Serial progress ticks at checkpoint granularity — cheap
                 # enough to stay in the loop, frequent enough for an ETA.
+                _observe_job_times(
+                    self._job_wall_times[emitted_at - position:], job_seconds
+                )
+                job_seconds = []
                 self._emit_progress(position - emitted_at)
                 emitted_at = position
         if compiled is not None:
@@ -829,7 +846,6 @@ class FaultInjectionCampaign:
             self.incremental,
             obs.enabled(),
             obs.events_enabled(),
-            obs.logs_enabled(),
             self.retry_policy,
             self.job_timeout,
             self.solver_backend,
@@ -850,7 +866,6 @@ class FaultInjectionCampaign:
                 self.job_timeout,
                 self.solver_backend,
                 obs.events_enabled(),
-                obs.logs_enabled(),
                 cid,
             ),
         )
@@ -944,9 +959,9 @@ class FaultInjectionCampaign:
                     stats.absorb(solve_stats)
                     stats.retries += extras.get("retries", 0)
                     stats.timeouts += extras.get("timeouts", 0)
-                    self._job_wall_times.extend(
-                        extras.get("job_wall_times", ())
-                    )
+                    walls = extras.get("job_wall_times", ())
+                    self._job_wall_times.extend(walls)
+                    _observe_job_times(walls, extras.get("job_seconds", ()))
                     obs.ingest_worker_data(payload, parent_id=parent_span)
                     self._emit_progress(
                         len(results), chunk=".".join(map(str, task.order))
@@ -1279,7 +1294,7 @@ class FaultInjectionCampaign:
             self._progress_done = len(preloaded)
             self._progress_resumed = len(preloaded)
             self._progress_t0 = time.perf_counter()
-            if obs.events_enabled() or obs.logs_enabled():
+            if obs.events_enabled():
                 fingerprint = self._short_fingerprint()
                 obs.emit_event(
                     "campaign_started",
@@ -1369,7 +1384,7 @@ class FaultInjectionCampaign:
             )
         result.stats = stats
         stats.publish()
-        if obs.events_enabled() or obs.logs_enabled():
+        if obs.events_enabled():
             fingerprint = self._short_fingerprint()
             obs.emit_event(
                 "campaign_finished",

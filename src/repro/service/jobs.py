@@ -29,10 +29,9 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
 Requests carry models as *payloads* (the ``repro-simulink/1`` dict format)
 rather than live objects: fingerprinting hashes the raw payload without
 materialising a :class:`SimulinkModel`, so a cache hit costs one ledger
-scan — the model-access analogue of :class:`LazyModelResource`'s
-load-on-reference semantics.  Materialised models are kept in a small
-digest-keyed LRU so concurrent tenants re-computing over the same model
-parse it once.
+lookup and never decodes the model.  Materialised models are kept in a
+small digest-keyed LRU so concurrent tenants re-computing over the same
+model parse it once.
 """
 
 from __future__ import annotations
@@ -572,9 +571,9 @@ class AnalysisService:
         """Attach the job's structured-log slice to its ledger entry.
 
         Only for computed jobs (cache hits made no entry of their own) and
-        only when the log plane is on; export failures are swallowed — an
+        only when the record bus is on; export failures are swallowed — an
         artifact is telemetry, not part of the result."""
-        if not obs.logs_enabled() or not job.correlation_id or job.cached:
+        if not obs.events_enabled() or not job.correlation_id or job.cached:
             return
         result = job.result if isinstance(job.result, dict) else None
         entry_id = result.get("entry") if result else None
@@ -582,7 +581,7 @@ class AnalysisService:
             return
         try:
             path = self.ledger.path.parent / "logs" / f"{job.id}.jsonl"
-            obs.log_plane().write_jsonl(path, cid=job.correlation_id)
+            obs.event_bus().write_logs(path, cid=job.correlation_id)
             with self._ledger_lock:
                 self.ledger.attach_artifact(
                     str(entry_id), path, kind="service-log"

@@ -22,7 +22,6 @@ import pytest
 from repro import obs
 from repro.casestudies.power_supply import ASSUMED_STABLE
 from repro.obs.events import ConsoleProgress, Event, EventBus
-from repro.obs.logs import LogRecord, StructuredLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
@@ -44,12 +43,10 @@ JOB_TIMEOUT = 120.0
 def clean_obs():
     obs.disable()
     obs.disable_events()
-    obs.disable_logs()
     obs.reset()
     yield
     obs.disable()
     obs.disable_events()
-    obs.disable_logs()
     obs.reset()
 
 
@@ -200,76 +197,127 @@ class TestSpanCorrelation:
         assert record.attrs["correlation_id"] == "e" * 16
 
 
-# -- structured logs ---------------------------------------------------------
+# -- structured logs: the bus's log view ------------------------------------
 
 
 class TestStructuredLog:
     def test_levels_and_min_level_filter(self):
-        log = StructuredLog()
-        log.log("debug", "d")
-        log.log("info", "i")
-        log.log("warning", "w")
-        log.log("error", "e")
-        log.log("bogus-level", "b")  # coerced to info, not dropped
-        assert len(log.records()) == 5
-        warn_up = log.records(min_level="warning")
+        bus = EventBus()
+        bus.log("debug", "d")
+        bus.log("info", "i")
+        bus.log("warning", "w")
+        bus.log("error", "e")
+        bogus = bus.log("bogus-level", "b")  # coerced to info, not dropped
+        assert bogus.level == "info"
+        assert len(bus.logs()) == 5
+        warn_up = bus.logs(min_level="warning")
         assert [r.message for r in warn_up] == ["w", "e"]
 
     def test_cid_filter_and_jsonl_export(self, tmp_path):
-        log = StructuredLog()
-        log.log("info", "mine", cid="a" * 16, job="j1")
-        log.log("info", "theirs", cid="b" * 16)
-        log.log("info", "nobody's")
-        path = log.write_jsonl(tmp_path / "job.jsonl", cid="a" * 16)
+        bus = EventBus()
+        bus.log("info", "mine", {"job": "j1"}, cid="a" * 16)
+        bus.log("info", "theirs", cid="b" * 16)
+        bus.log("info", "nobody's")
+        bus.emit("campaign_started", {"jobs": 1}, cid="a" * 16)
+        assert [r.message for r in bus.logs(cid="a" * 16)] == ["mine"]
+        path = bus.write_logs(tmp_path / "job.jsonl", cid="a" * 16)
         lines = [
             json.loads(line)
             for line in path.read_text().splitlines()
         ]
-        assert len(lines) == 1
-        assert lines[0]["message"] == "mine"
-        assert lines[0]["correlation_id"] == "a" * 16
-        assert lines[0]["fields"] == {"job": "j1"}
+        assert lines == [{
+            "seq": 1, "ts": lines[0]["ts"], "level": "info",
+            "message": "mine", "pid": lines[0]["pid"],
+            "correlation_id": "a" * 16, "fields": {"job": "j1"},
+        }]
+        bare = json.loads(
+            bus.write_logs(tmp_path / "all.jsonl").read_text().splitlines()[2]
+        )
+        assert sorted(bare) == ["level", "message", "pid", "seq", "ts"]
 
     def test_drain_ingest_resequences_preserving_origin(self):
-        worker = StructuredLog()
-        worker.log("warning", "pool trouble", cid="c" * 16)
+        worker = EventBus()
+        record = worker.log("warning", "pool trouble", cid="c" * 16)
         shipped = worker.drain_dicts()
-        assert worker.records() == []
-        parent = StructuredLog()
+        assert worker.logs() == []
+        parent = EventBus()
         parent.log("info", "parent line")
         parent.ingest(shipped)
-        records = parent.records()
+        records = parent.logs()
         assert [r.seq for r in records] == [1, 2]
         assert records[1].message == "pool trouble"
-        assert records[1].cid == "c" * 16
+        assert records[1].level == "warning"
+        assert (records[1].ts, records[1].pid, records[1].cid) == (
+            record.ts, record.pid, "c" * 16,
+        )
 
     def test_obs_log_is_gated_and_stamps_cid(self):
         with obs.correlation("d" * 16):
             obs.log("info", "dropped while disabled")
-        assert obs.log_plane().records() == []
-        obs.enable_logs()
+        assert obs.event_bus().logs() == []
+        obs.enable_events()
         with obs.correlation("d" * 16):
             obs.log("info", "kept", detail=1)
-        (record,) = obs.log_plane().records()
+        (record,) = obs.event_bus().logs()
         assert record.cid == "d" * 16
-        assert record.fields == {"detail": 1}
+        assert record.payload == {"detail": 1}
 
     def test_logs_ride_the_worker_delta_protocol(self):
-        obs.enable_logs()
+        obs.enable()
+        obs.enable_events()
         with obs.correlation("b" * 16):
+            obs.emit_event("worker_heartbeat", chunk_jobs=1)
             obs.log("error", "worker-side failure")
         payload = obs.drain_worker_data()
-        assert payload["logs"]
-        assert obs.log_plane().records() == []
+        assert sorted(payload) == ["events", "metrics", "spans"]
+        assert obs.event_bus().logs() == []
         obs.ingest_worker_data(payload)
-        (record,) = obs.log_plane().records()
+        (record,) = obs.event_bus().logs()
         assert record.message == "worker-side failure"
         assert record.cid == "b" * 16
+        assert [e.type for e in obs.event_bus().events()] == ["worker_heartbeat"]
 
     def test_record_round_trip(self):
-        record = LogRecord(seq=3, ts=1.5, level="warning", message="m",
-                           pid=7, cid="a" * 16, fields={"k": "v"})
-        assert LogRecord.from_dict(record.to_dict()) == record
+        record = Event(seq=3, type="log", ts=1.5, pid=7, payload={"k": "v"},
+                       cid="a" * 16, level="warning", message="m")
+        assert Event.from_dict(record.to_dict()) == record
+
+    def test_events_and_logs_interleaved_on_one_bus(self, tmp_path):
+        bus = EventBus()
+        seen = []
+        bus.add_callback(seen.append)
+        bus.attach_jsonl(tmp_path / "events.jsonl")
+        q = bus.subscribe()
+        cid = "e" * 16
+        for index in range(3):
+            bus.emit("chunk_completed", {"done": index}, cid=cid)
+            bus.log("info", f"line {index}", cid=cid)
+        late = bus.subscribe(cid=cid)  # replay path, not live fan-out
+        bus.detach_jsonl()
+
+        def kinds(records):
+            return {"log" if r.level is not None else r.type for r in records}
+
+        assert kinds(bus.events()) == {"chunk_completed"}
+        assert kinds(bus.events(cid=cid)) == {"chunk_completed"}
+        assert kinds(seen) == {"chunk_completed"}
+        assert kinds([q.get_nowait() for _ in range(3)]) == {"chunk_completed"}
+        assert q.empty()
+        assert kinds([late.get_nowait() for _ in range(3)]) == {"chunk_completed"}
+        assert late.empty()
+        sink = [
+            json.loads(line)
+            for line in (tmp_path / "events.jsonl").read_text().splitlines()
+        ]
+        assert [r["type"] for r in sink] == ["chunk_completed"] * 3
+        assert kinds(bus.logs()) == {"log"}
+        assert kinds(bus.logs(cid=cid)) == {"log"}
+        assert [r.message for r in bus.logs()] == ["line 0", "line 1", "line 2"]
+        # One seq counter: events and logs share it, so event ids skip
+        # the numbers log records took.
+        assert [e.seq for e in bus.events()] == [1, 3, 5]
+        assert [r.seq for r in bus.logs()] == [2, 4, 6]
+        assert bus.last_seq() == 6
 
 
 # -- SLO engine --------------------------------------------------------------
@@ -536,7 +584,6 @@ class TestCampaignCorrelation:
         from repro.safety.campaign import FaultInjectionCampaign
 
         obs.enable_events()
-        obs.enable_logs()
         cid = obs.mint_correlation_id()
         result = FaultInjectionCampaign(
             psu_simulink, psu_reliability, sensors=["CS1"],
@@ -547,7 +594,7 @@ class TestCampaignCorrelation:
         assert all(e.cid == cid for e in events), [
             (e.type, e.cid) for e in events if e.cid != cid
         ]
-        log_records = obs.log_plane().records(cid=cid)
+        log_records = obs.event_bus().logs(cid=cid)
         assert {r.message for r in log_records} >= {
             "campaign started", "campaign finished",
         }
@@ -674,7 +721,6 @@ def _poll_done(host, port, job_id, timeout=JOB_TIMEOUT):
 @pytest.fixture
 def server(tmp_path):
     obs.enable_events()
-    obs.enable_logs()
     service = AnalysisService(tmp_path / "ledger.jsonl", workers=2)
     srv = AnalysisServiceServer(service, "127.0.0.1", 0).start()
     yield srv
@@ -758,11 +804,12 @@ class TestJobStreams:
     def test_last_event_id_resumes_like_since(self, server):
         host, port = server.address
         bus = obs.event_bus()
-        for index in range(6):
-            bus.emit("tick", {"index": index})
+        # Cursors are the ticks' own ids: log records (the service's
+        # start-up line) share the bus's seq counter.
+        ticks = [bus.emit("tick", {"index": index}) for index in range(6)]
         status, frames = _read_sse(
             host, port, "/events?limit=2",
-            headers={"Last-Event-ID": "4"},
+            headers={"Last-Event-ID": str(ticks[3].seq)},
         )
         assert status == 200
         assert [data["payload"]["index"] for _, _, data in frames] == [4, 5]
@@ -770,10 +817,9 @@ class TestJobStreams:
     def test_query_since_wins_over_last_event_id(self, server):
         host, port = server.address
         bus = obs.event_bus()
-        for index in range(6):
-            bus.emit("tick", {"index": index})
+        ticks = [bus.emit("tick", {"index": index}) for index in range(6)]
         status, frames = _read_sse(
-            host, port, "/events?since=5&limit=1",
+            host, port, f"/events?since={ticks[4].seq}&limit=1",
             headers={"Last-Event-ID": "0"},
         )
         assert status == 200

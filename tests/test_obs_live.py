@@ -284,14 +284,31 @@ class TestLiveServer:
         assert status == 200
         health = json.loads(body)
         assert health["status"] == "ok"
-        assert health["observability"] == {
-            "tracing": True, "events": True, "logs": False,
-        }
+        assert health["observability"] == {"tracing": True, "events": True}
         assert "warm" in health["pool"]
         assert health["solver_backend"]["default"]
         campaign = health["events"]["campaign"]
         assert campaign["active"] is False
         assert campaign["jobs_done"] == campaign["jobs_total"]
+
+    def test_keepalive_responses_do_not_stall(self):
+        # Headers and body go out in two sends; without TCP_NODELAY the
+        # body waits on the client's delayed ACK (~40 ms per response).
+        with LiveTelemetryServer() as server:
+            host, port = server.address
+            conn = http.client.HTTPConnection(host, port, timeout=10.0)
+            try:
+                walls = []
+                for _ in range(10):
+                    started = time.perf_counter()
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                    walls.append(time.perf_counter() - started)
+                    assert response.status == 200
+            finally:
+                conn.close()
+        assert max(walls) < 0.035, walls
 
     def test_events_sse_framing(self):
         obs.enable_events()
