@@ -5,11 +5,15 @@ over plain HTTP:
 
 1. submits an FMEA job for the power-supply case study and waits for it
    to compute (a cache miss: the ledger starts empty);
-2. resubmits the *identical* payload and asserts it is served from the
-   ledger — ``cached`` is true, the rows are bit-identical to the
+2. submits an FMEDA job on the same payload — the next step of a DECISIVE
+   round — and asserts it computed (``cached`` false) from the revision's
+   stored FMEA instead of a second campaign (``service_fmea_reuses`` is 1
+   on ``/metrics``);
+3. resubmits the *identical* FMEA payload and asserts it is served from
+   the ledger — ``cached`` is true, the rows are bit-identical to the
    computed ones, and ``service_cache_hits`` is 1 on ``/metrics``;
-3. checks ``/healthz`` carries the service summary;
-4. writes the final ``/metrics`` scrape to ``SERVICE_metrics.txt`` (the
+4. checks ``/healthz`` carries the service summary;
+5. writes the final ``/metrics`` scrape to ``SERVICE_metrics.txt`` (the
    CI artifact).
 
 Exits non-zero on any violation.  Run as::
@@ -111,6 +115,14 @@ def main() -> int:
             assert first["cached"] is False, "first submission must compute"
             assert first["result"]["rows"], "computed FMEA has no rows"
 
+            fmeda_payload = dict(payload, kind="fmeda")
+            fmeda = _wait_done(
+                url, _post(f"{url}/jobs", fmeda_payload)["id"]
+            )
+            assert fmeda["cached"] is False, "first FMEDA must compute"
+            assert fmeda["result"]["rows"], "computed FMEDA has no rows"
+            print("revision reuse OK: fmeda computed on the stored FMEA")
+
             second = _wait_done(url, _post(f"{url}/jobs", payload)["id"])
             assert second["cached"] is True, (
                 "identical resubmission was recomputed instead of being "
@@ -128,16 +140,17 @@ def main() -> int:
             health = json.loads(_get(f"{url}/healthz"))
             service = health["service"]
             assert service["cache_hits"] == 1, service
-            assert service["cache_misses"] == 1, service
-            assert service["jobs"].get("done") == 2, service
+            assert service["cache_misses"] == 2, service
+            assert service["jobs"].get("done") == 3, service
             print(f"healthz OK: {service}")
 
             metrics = _get(f"{url}/metrics").decode("utf-8")
             for needle in (
                 "service_cache_hits 1",
-                "service_cache_misses 1",
-                "service_jobs_submitted 2",
-                "service_jobs_completed 2",
+                "service_cache_misses 2",
+                "service_fmea_reuses 1",
+                "service_jobs_submitted 3",
+                "service_jobs_completed 3",
             ):
                 assert needle in metrics, f"{needle!r} missing from /metrics"
             METRICS_OUT.write_text(metrics, encoding="utf-8")

@@ -50,6 +50,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     Iterator,
     List,
@@ -75,20 +76,69 @@ class LedgerError(Exception):
     """Raised for unreadable ledgers or unresolvable entry references."""
 
 
-def _canonical(value: object) -> object:
-    """JSON-stable view of digest inputs (sorted keys, primitive types)."""
-    if isinstance(value, Mapping):
-        return {
-            str(k): _canonical(v)
-            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        }
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, float):
-        return round(value, _DIGEST_DECIMALS)
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    return repr(value)
+def canonicalizer(
+    float_decimals: Optional[int] = None,
+) -> Callable[[object], object]:
+    """A function giving the JSON-stable view of digest inputs.
+
+    Mappings become ``str``-keyed dicts, lists and tuples become lists,
+    JSON primitives pass through, anything else becomes its ``repr``;
+    floats are rounded to ``float_decimals`` when it is given.  The view
+    is meant for ``json.dumps(..., sort_keys=True)``, which orders the
+    keys itself, so dicts keep insertion order here: coercing keys with
+    ``str()`` first keeps last-wins on keys that collide as strings
+    exactly as sorting them first would.  Exact built-in types take a
+    fast path; subclasses (``Mapping`` implementations, numpy scalars,
+    ...) take the general ``isinstance`` path, with the same result.
+    """
+    leaf = frozenset(
+        (str, int, bool, type(None))
+        + (() if float_decimals is not None else (float,))
+    )
+
+    def canonical(value: object) -> object:
+        kind = type(value)
+        if kind in leaf:
+            return value
+        # Leaves and rounded floats are handled inline: a call per scalar
+        # would cost more than everything else here.
+        if kind is dict:
+            return {
+                str(k): v if (t := type(v)) in leaf
+                else round(v, float_decimals) if t is float
+                else canonical(v)
+                for k, v in value.items()  # type: ignore[union-attr]
+            }
+        if kind is list or kind is tuple:
+            return [
+                v if (t := type(v)) in leaf
+                else round(v, float_decimals) if t is float
+                else canonical(v)
+                for v in value  # type: ignore[union-attr]
+            ]
+        if kind is float:
+            return round(value, float_decimals)  # type: ignore[call-overload]
+        return general(value)
+
+    def general(value: object) -> object:
+        if isinstance(value, Mapping):
+            return {
+                str(k): canonical(v)
+                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
+            }
+        if isinstance(value, (list, tuple)):
+            return [canonical(v) for v in value]
+        if float_decimals is not None and isinstance(value, float):
+            return round(value, float_decimals)
+        if isinstance(value, (str, int, float, bool)) or value is None:
+            return value
+        return repr(value)
+
+    return canonical
+
+
+#: JSON-stable view of ledger digest inputs (floats rounded).
+_canonical = canonicalizer(_DIGEST_DECIMALS)
 
 
 def content_digest_of(payload: object) -> str:
@@ -1102,8 +1152,13 @@ def record_fmea(
     config: Optional[Mapping[str, object]] = None,
     trace: str = "",
     meta: Optional[Mapping[str, object]] = None,
+    model_digest_value: Optional[str] = None,
 ) -> LedgerEntry:
-    """Record an FMEA run (injection or graph) as a ledger entry."""
+    """Record an FMEA run (injection or graph) as a ledger entry.
+
+    ``model_digest_value``, when given, is ``model_digest(model)``
+    computed once by a caller that records several entries per model.
+    """
     config = dict(config or {})
     rows = fmea_rows_payload(result)
     fingerprint = ""
@@ -1114,7 +1169,10 @@ def record_fmea(
         system=result.system,
         spfm=spfm,
         asil=asil,
-        model_digest=model_digest(model),
+        model_digest=(
+            model_digest(model) if model_digest_value is None
+            else model_digest_value
+        ),
         reliability_digest=reliability_digest(reliability),
         fingerprint=fingerprint,
         config=config,
@@ -1135,8 +1193,10 @@ def record_fmeda(
     config: Optional[Mapping[str, object]] = None,
     trace: str = "",
     meta: Optional[Mapping[str, object]] = None,
+    model_digest_value: Optional[str] = None,
 ) -> LedgerEntry:
-    """Record an FMEDA (rows + SPFM/ASIL verdict) as a ledger entry."""
+    """Record an FMEDA (rows + SPFM/ASIL verdict) as a ledger entry
+    (``model_digest_value`` as for :func:`record_fmea`)."""
     config = dict(config or {})
     config.setdefault(
         "deployments",
@@ -1157,7 +1217,10 @@ def record_fmeda(
         system=result.system,
         spfm=result.spfm,
         asil=result.asil,
-        model_digest=model_digest(model),
+        model_digest=(
+            model_digest(model) if model_digest_value is None
+            else model_digest_value
+        ),
         reliability_digest=reliability_digest(reliability),
         config=config,
         rows=rows,
@@ -1182,8 +1245,10 @@ def record_optimizer(
     reliability=None,
     config: Optional[Mapping[str, object]] = None,
     meta: Optional[Mapping[str, object]] = None,
+    model_digest_value: Optional[str] = None,
 ) -> LedgerEntry:
-    """Record a mechanism-search outcome (a :class:`DeploymentPlan`)."""
+    """Record a mechanism-search outcome (a :class:`DeploymentPlan`)
+    (``model_digest_value`` as for :func:`record_fmea`)."""
     rows = [
         {
             "component": d.component,
@@ -1199,7 +1264,10 @@ def record_optimizer(
         system=system,
         spfm=plan.spfm,
         asil=plan.asil,
-        model_digest=model_digest(model),
+        model_digest=(
+            model_digest(model) if model_digest_value is None
+            else model_digest_value
+        ),
         reliability_digest=reliability_digest(reliability),
         config=dict(config or {}),
         rows=rows,

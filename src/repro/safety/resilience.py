@@ -37,6 +37,7 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
+from repro.obs.ledger import canonicalizer
 
 #: Exception types worth retrying: they can be caused by transient
 #: numerical state (warm-start residue in a shared compiled system) or by
@@ -156,15 +157,8 @@ def job_deadline(seconds: Optional[float]) -> Iterator[None]:
 # -- checkpoint / resume -----------------------------------------------------
 
 
-def _canonical(value: object) -> object:
-    """JSON-stable view of fingerprint inputs (sorted, primitive types)."""
-    if isinstance(value, Mapping):
-        return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
+#: JSON-stable view of fingerprint inputs (floats verbatim).
+_canonical = canonicalizer()
 
 
 def campaign_fingerprint(

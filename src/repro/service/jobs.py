@@ -29,9 +29,14 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
 Requests carry models as *payloads* (the ``repro-simulink/1`` dict format)
 rather than live objects: fingerprinting hashes the raw payload without
 materialising a :class:`SimulinkModel`, so a cache hit costs one ledger
-lookup and never decodes the model.  Materialised models are kept in a
-small digest-keyed LRU so concurrent tenants re-computing over the same
-model parse it once.
+lookup and never decodes the model.
+
+A DECISIVE round asks several questions of one design revision (``fmea``,
+then ``fmeda`` and ``search`` on the same FMEA).  The service keeps a small
+in-memory **revision cache** of the FMEAs it computed, keyed by
+:meth:`AnalysisRequest.fmea_key`, so each revision's fault-injection
+campaign runs once per round; every job still records its own ledger
+entry (a reuse is a cache *miss* that skipped the campaign, not a hit).
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ __all__ = [
 
 _KINDS = ("fmea", "fmeda", "search")
 
-#: Materialised models kept warm, by model-payload digest.
-_MODEL_CACHE_SIZE = 16
+#: Design revisions whose FMEA the service keeps, by FMEA key.
+_REVISION_CACHE_SIZE = 16
 
 
 class ServiceError(Exception):
@@ -221,24 +226,43 @@ class AnalysisRequest:
         folds in the classification config, the deployment set and the
         search target on top of the fingerprint.
         """
+        return self._key(
+            fingerprint, self.kind, self.deployments, self.mechanisms,
+            self.target_asil,
+        )
+
+    def fmea_key(self, fingerprint: Optional[str] = None) -> str:
+        """Key of the FMEA every kind of this request builds on: the
+        :meth:`cache_key` the same request would have as a plain ``fmea``
+        (no deployments, mechanisms or target).
+
+        Execution settings (``strategy``, ``solver_backend``, ``workers``)
+        stay out of both keys: they never change a row.
+        """
+        return self._key(fingerprint, "fmea", [], [], "")
+
+    def _key(
+        self,
+        fingerprint: Optional[str],
+        kind: str,
+        deployments: List[Dict[str, object]],
+        mechanisms: List[Dict[str, object]],
+        target_asil: str,
+    ) -> str:
         payload = {
             "fingerprint": fingerprint or self.fingerprint(),
-            "kind": self.kind,
+            "kind": kind,
             "threshold": self.config.get("threshold", 0.2),
             "min_absolute_delta": self.config.get("min_absolute_delta"),
             "sensors": self.config.get("sensors"),
             "assume_stable": sorted(
                 str(s) for s in self.config.get("assume_stable", [])  # type: ignore[union-attr]
             ),
-            "deployments": self.deployments,
-            "mechanisms": self.mechanisms,
-            "target_asil": self.target_asil,
+            "deployments": deployments,
+            "mechanisms": mechanisms,
+            "target_asil": target_asil,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def model_digest(self) -> str:
-        blob = json.dumps(self.model, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -306,6 +330,20 @@ class AnalysisJob:
         return out
 
 
+@dataclass(frozen=True)
+class _Revision:
+    """One design revision's FMEA, kept for the other jobs of its round."""
+
+    fmea: object
+    #: The decoded model (``record_fmea`` derives the ledger fingerprint
+    #: from it) and its ledger digest, hashed once per revision.
+    model: object
+    model_digest: str
+    #: The job that ran the campaign, named by reusing jobs' telemetry.
+    job: str
+    correlation_id: str
+
+
 # -- service --------------------------------------------------------------
 
 
@@ -370,8 +408,9 @@ class AnalysisService:
         #: leader instead of starting their own campaign.
         self._inflight: Dict[str, AnalysisJob] = {}
         self._inflight_lock = threading.Lock()
-        self._model_cache: "OrderedDict[str, object]" = OrderedDict()
-        self._model_cache_lock = threading.Lock()
+        #: Revision cache: FMEA key -> the revision's FMEA (LRU order).
+        self._revisions: "OrderedDict[str, _Revision]" = OrderedDict()
+        self._revisions_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._stopping = False
 
@@ -694,27 +733,59 @@ class AnalysisService:
 
     # -- computation ------------------------------------------------------
 
-    def _materialize_model(self, request: AnalysisRequest):
-        """The payload as a :class:`SimulinkModel`, via the digest LRU."""
+    def _revision(
+        self, request: AnalysisRequest, job: AnalysisJob
+    ) -> _Revision:
+        """The FMEA of the request's design revision.
+
+        Served from the revision cache when another job of the round ran
+        its campaign; otherwise the payload is decoded and the campaign
+        runs, and the result is kept unless it carries job failures (a
+        degraded FMEA is this job's answer, not the revision's).
+        """
+        from repro.obs.ledger import model_digest
         from repro.simulink import SimulinkModel
 
-        digest = request.model_digest()
-        with self._model_cache_lock:
-            model = self._model_cache.get(digest)
-            if model is not None:
-                self._model_cache.move_to_end(digest)
-                obs.counter("service_model_cache_hits").inc()
-                return model
+        key = request.fmea_key(job.fingerprint)
+        with self._revisions_lock:
+            revision = self._revisions.get(key)
+            if revision is not None:
+                self._revisions.move_to_end(key)
+        if revision is not None:
+            obs.counter("service_fmea_reuses").inc()
+            obs.emit_event(
+                "campaign_reused", job=job.id, campaign_job=revision.job,
+                campaign_correlation_id=revision.correlation_id,
+            )
+            obs.log(
+                "info", "campaign reused", job=job.id,
+                campaign_job=revision.job,
+                campaign_correlation_id=revision.correlation_id,
+            )
+            return revision
         model = SimulinkModel.from_dict(dict(request.model))
-        with self._model_cache_lock:
-            self._model_cache[digest] = model
-            while len(self._model_cache) > _MODEL_CACHE_SIZE:
-                self._model_cache.popitem(last=False)
-        return model
+        fmea = self._campaign(
+            request, model, job.fingerprint, correlation_id=job.correlation_id
+        ).run()
+        revision = _Revision(
+            fmea=fmea,
+            model=model,
+            model_digest=model_digest(model),
+            job=job.id,
+            correlation_id=job.correlation_id,
+        )
+        if not fmea.failures:
+            with self._revisions_lock:
+                self._revisions[key] = revision
+                self._revisions.move_to_end(key)
+                while len(self._revisions) > _REVISION_CACHE_SIZE:
+                    self._revisions.popitem(last=False)
+        return revision
 
     def _campaign(
         self,
         request: AnalysisRequest,
+        model,
         fingerprint: str,
         correlation_id: Optional[str] = None,
     ):
@@ -737,7 +808,7 @@ class AnalysisService:
         sensors = config.get("sensors")
         assume_stable = config.get("assume_stable", ())
         return FaultInjectionCampaign(
-            self._materialize_model(request),
+            model,
             reliability_from_payload(request.reliability),
             sensors=sensors,  # type: ignore[arg-type]
             assume_stable=tuple(assume_stable),  # type: ignore[arg-type]
@@ -769,15 +840,17 @@ class AnalysisService:
         }
         if request.tenant:
             meta["tenant"] = request.tenant
-        fmea = self._campaign(
-            request, job.fingerprint, correlation_id=job.correlation_id
-        ).run()
+        revision = self._revision(request, job)
+        if revision.correlation_id != job.correlation_id:
+            meta["campaign_correlation_id"] = revision.correlation_id
+        fmea = revision.fmea
+        model = revision.model
+        digest = revision.model_digest
         # SLO state at record time: a run recorded while the service was
         # burning its error budget carries the breach in its provenance,
         # which is what the `watch-regressions` slo rule checks.
         meta["slo"] = summarize(self.slo.evaluate())
         reliability = reliability_from_payload(request.reliability)
-        model = self._materialize_model(request)
         config = {
             "analysis": request.config.get("analysis", "dc"),
             "t_stop": request.config.get("t_stop", 5e-3),
@@ -791,7 +864,7 @@ class AnalysisService:
                 entry = record_fmea(
                     self.ledger, fmea, model=model, reliability=reliability,
                     spfm=value, asil=asil_from_spfm(value), config=config,
-                    meta=meta,
+                    meta=meta, model_digest_value=digest,
                 )
             return {
                 "rows": fmea_rows_payload(fmea),
@@ -821,6 +894,7 @@ class AnalysisService:
                 entry = record_fmeda(
                     self.ledger, fmeda, model=model,
                     reliability=reliability, config=config, meta=meta,
+                    model_digest_value=digest,
                 )
             return {
                 "rows": fmeda_rows_payload(fmeda),
@@ -864,7 +938,7 @@ class AnalysisService:
                 reliability=reliability,
                 config={**config, "target": request.target_asil,
                         "strategy": strategy},
-                meta=meta,
+                meta=meta, model_digest_value=digest,
             )
         return {
             "rows": entry.rows,

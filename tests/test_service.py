@@ -421,6 +421,276 @@ class TestCoalescing:
             assert len(svc.ledger.entries()) == 2
 
 
+# -- revision cache: one campaign per DECISIVE round -------------------------
+
+
+def _mechanisms_payload(catalogue):
+    return [
+        {
+            "component_class": spec.component_class,
+            "failure_mode": spec.failure_mode,
+            "name": spec.name,
+            "coverage": spec.coverage,
+            "cost": spec.cost,
+        }
+        for spec in catalogue.specs()
+    ]
+
+
+@pytest.fixture
+def round_payloads(fmea_payload, psu_fmea, psu_mechanisms):
+    """A DECISIVE round on one revision: fmea, fmeda and search bodies."""
+    deployments = [
+        {
+            "component": row.component,
+            "failure_mode": row.failure_mode,
+            "mechanism": "SM-test",
+            "coverage": 0.9,
+            "cost": 1.0,
+        }
+        for row in psu_fmea.rows if row.safety_related
+    ][:2]
+    return {
+        "fmea": fmea_payload,
+        "fmeda": dict(fmea_payload, kind="fmeda", deployments=deployments),
+        "search": dict(
+            fmea_payload, kind="search",
+            mechanisms=_mechanisms_payload(psu_mechanisms),
+            target_asil="ASIL-A",
+        ),
+    }
+
+
+def _count(name):
+    return int(obs.counter(name).value)
+
+
+def _campaigns_started():
+    return sum(
+        1 for e in obs.event_bus().events() if e.type == "campaign_started"
+    )
+
+
+class TestRevisionCache:
+    """fmea, fmeda and search on one revision share one campaign."""
+
+    def test_round_runs_one_campaign(self, tmp_path, round_payloads):
+        obs.enable_events()
+        with AnalysisService(tmp_path / "round.jsonl", workers=1) as svc:
+            jobs = {
+                kind: _finish(svc, svc.submit(round_payloads[kind]))
+                for kind in ("fmea", "fmeda", "search")
+            }
+            entries = svc.ledger.entries()
+        assert all(j.state == "done" for j in jobs.values()), [
+            j.error for j in jobs.values()
+        ]
+        assert _campaigns_started() == 1
+        assert _count("service_fmea_reuses") == 2
+        assert _count("service_cache_hits") == 0
+        assert _count("service_cache_misses") == 3
+        assert not any(j.cached for j in jobs.values())
+        assert len(entries) == 3
+
+        # The reusing jobs' own telemetry names the campaign's job.
+        leader = jobs["fmea"]
+        for kind in ("fmeda", "search"):
+            cid = jobs[kind].correlation_id
+            reused = [
+                e for e in obs.event_bus().events(cid=cid)
+                if e.type == "campaign_reused"
+            ]
+            assert len(reused) == 1
+            assert reused[0].payload["job"] == jobs[kind].id
+            assert reused[0].payload["campaign_job"] == leader.id
+            assert (
+                reused[0].payload["campaign_correlation_id"]
+                == leader.correlation_id
+            )
+            logs = [
+                r for r in obs.event_bus().logs(cid=cid)
+                if r.message == "campaign reused"
+            ]
+            assert len(logs) == 1
+            assert logs[0].payload["campaign_job"] == leader.id
+        by_job = {e.meta["service_job"]: e for e in entries}
+        assert "campaign_correlation_id" not in by_job[leader.id].meta
+        for kind in ("fmeda", "search"):
+            assert (
+                by_job[jobs[kind].id].meta["campaign_correlation_id"]
+                == leader.correlation_id
+            )
+
+        # Each kind equals a cold computation in a fresh service, down to
+        # the ledger digests.
+        for kind in ("fmea", "fmeda", "search"):
+            obs.reset()
+            with AnalysisService(
+                tmp_path / f"cold-{kind}.jsonl", workers=1
+            ) as cold:
+                job = _finish(cold, cold.submit(round_payloads[kind]))
+                (cold_entry,) = cold.ledger.entries()
+            assert job.state == "done", job.error
+            assert _count("service_fmea_reuses") == 0
+            for field_name in ("rows", "spfm", "asil", "total_cost", "cost"):
+                assert jobs[kind].result.get(field_name) == job.result.get(
+                    field_name
+                ), (kind, field_name)
+            entry = by_job[jobs[kind].id]
+            assert entry.model_digest == cold_entry.model_digest
+            assert entry.fingerprint == cold_entry.fingerprint
+            assert entry.row_digests == cold_entry.row_digests
+
+    @pytest.mark.parametrize("change", [
+        "threshold", "assume_stable", "reliability", "model",
+    ])
+    def test_changed_inputs_run_a_new_campaign(
+        self, service, round_payloads, change
+    ):
+        obs.enable_events()
+        _finish(service, service.submit(round_payloads["fmea"]))
+        changed = json.loads(json.dumps(round_payloads["fmeda"]))
+        if change == "threshold":
+            changed["config"]["threshold"] = 0.9
+        elif change == "assume_stable":
+            changed["config"]["assume_stable"] = list(ASSUMED_STABLE)[1:]
+        elif change == "reliability":
+            changed["reliability"][0]["fit"] = (
+                changed["reliability"][0]["fit"] * 2
+            )
+        else:
+            changed["model"]["name"] = "power_supply.rev2"
+        job = _finish(service, service.submit(changed))
+        assert job.state == "done", job.error
+        assert _campaigns_started() == 2
+        assert _count("service_fmea_reuses") == 0
+
+    def test_strategy_and_backend_share_the_revision(
+        self, service, round_payloads
+    ):
+        obs.enable_events()
+        _finish(service, service.submit(round_payloads["fmea"]))
+        fmeda = json.loads(json.dumps(round_payloads["fmeda"]))
+        fmeda["config"]["strategy"] = "serial"
+        search = json.loads(json.dumps(round_payloads["search"]))
+        search["config"]["solver_backend"] = "dense"
+        for payload in (fmeda, search):
+            job = _finish(service, service.submit(payload))
+            assert job.state == "done", job.error
+            assert job.cached is False
+        assert _campaigns_started() == 1
+        assert _count("service_fmea_reuses") == 2
+
+    def test_unreachable_search_reuses_on_resubmission(
+        self, service, round_payloads
+    ):
+        obs.enable_events()
+        unreachable = dict(
+            round_payloads["search"], target_asil="ASIL-D",
+            mechanisms=round_payloads["search"]["mechanisms"][:1],
+        )
+        first = _finish(service, service.submit(unreachable))
+        second = _finish(service, service.submit(unreachable))
+        for job in (first, second):
+            assert job.state == "done", job.error
+            assert job.result["plan"] is None
+            assert job.cached is False
+        assert _campaigns_started() == 1
+        assert _count("service_fmea_reuses") == 1
+        assert _count("service_cache_hits") == 0
+
+    def test_degraded_result_is_not_kept(self, service, round_payloads):
+        from repro.safety.resilience import JobFailure
+
+        obs.enable_events()
+        real = service._campaign
+
+        def degraded(*args, **kwargs):
+            campaign = real(*args, **kwargs)
+            run = campaign.run
+
+            def run_with_failure():
+                result = run()
+                result.failures.append(JobFailure(
+                    index=0, component="X", failure_mode="open",
+                    exception="RuntimeError", message="injected",
+                ))
+                return result
+
+            campaign.run = run_with_failure
+            return campaign
+
+        service._campaign = degraded
+        for kind in ("fmea", "fmeda"):
+            job = _finish(service, service.submit(round_payloads[kind]))
+            assert job.state == "done", job.error
+        assert _campaigns_started() == 2
+        assert _count("service_fmea_reuses") == 0
+        assert not service._revisions
+
+    def test_cache_is_bounded(self, service, fmea_payload):
+        from repro.service.jobs import _REVISION_CACHE_SIZE
+
+        assert _REVISION_CACHE_SIZE == 16
+        for number in range(_REVISION_CACHE_SIZE + 1):
+            model = dict(fmea_payload["model"], name=f"psu.rev{number}")
+            job = _finish(
+                service, service.submit(dict(fmea_payload, model=model))
+            )
+            assert job.state == "done", job.error
+        assert len(service._revisions) == _REVISION_CACHE_SIZE
+        # The oldest revision was evicted: asking it again recomputes.
+        model = dict(fmea_payload["model"], name="psu.rev0")
+        _finish(service, service.submit(
+            dict(fmea_payload, kind="fmeda", model=model)
+        ))
+        assert _count("service_fmea_reuses") == 0
+        assert len(service._revisions) == _REVISION_CACHE_SIZE
+
+    def test_concurrent_rounds_keep_the_cache_consistent(
+        self, tmp_path, fmea_payload
+    ):
+        """More worker threads than cores and a short switch interval:
+        every job completes, the cache stays bounded, and each computed
+        job either ran a campaign or reused one."""
+        import sys
+
+        from repro.service.jobs import _REVISION_CACHE_SIZE
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AnalysisService(
+                tmp_path / "stress.jsonl", workers=8
+            ) as svc:
+                runs = []
+                real = svc._campaign
+
+                def counted(*args, **kwargs):
+                    runs.append(1)
+                    return real(*args, **kwargs)
+
+                svc._campaign = counted
+                jobs = []
+                for number in range(_REVISION_CACHE_SIZE + 4):
+                    model = dict(
+                        fmea_payload["model"], name=f"psu.rev{number}"
+                    )
+                    for kind in ("fmea", "fmeda"):
+                        jobs.append(svc.submit(
+                            dict(fmea_payload, kind=kind, model=model)
+                        ))
+                finished = [_finish(svc, job) for job in jobs]
+                assert all(job.state == "done" for job in finished), [
+                    job.error for job in finished
+                ]
+                assert len(svc._revisions) <= _REVISION_CACHE_SIZE
+                assert len(runs) + _count("service_fmea_reuses") == len(jobs)
+                assert len(svc.ledger.entries()) == len(jobs)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 # -- multi-tenant concurrency (the satellite acceptance test) ----------------
 
 
