@@ -12,8 +12,11 @@ over plain HTTP:
 3. resubmits the *identical* FMEA payload and asserts it is served from
    the ledger — ``cached`` is true, the rows are bit-identical to the
    computed ones, and ``service_cache_hits`` is 1 on ``/metrics``;
-4. checks ``/healthz`` carries the service summary;
-5. writes the final ``/metrics`` scrape to ``SERVICE_metrics.txt`` (the
+4. submits a System B FMEA job — 107 unknowns, so its faults take the
+   batched low-rank route on the dense backend — and asserts its rows
+   equal an in-process naive (``incremental=False``) campaign's rows;
+5. checks ``/healthz`` carries the service summary;
+6. writes the final ``/metrics`` scrape to ``SERVICE_metrics.txt`` (the
    CI artifact).
 
 Exits non-zero on any violation.  Run as::
@@ -66,11 +69,18 @@ def _wait_done(url: str, job_id: str) -> dict:
 
 
 def main() -> int:
+    from repro.casestudies import (
+        SYSTEM_B_ASSUMED_STABLE,
+        build_system_b_simulink,
+        power_network_reliability,
+    )
     from repro.casestudies.power_supply import (
         ASSUMED_STABLE,
         build_power_supply_simulink,
         power_supply_reliability,
     )
+    from repro.obs.ledger import fmea_rows_payload
+    from repro.safety.campaign import FaultInjectionCampaign
     from repro.service import reliability_payload
 
     payload = {
@@ -83,6 +93,22 @@ def main() -> int:
         },
         "tenant": "ci-smoke",
     }
+
+    system_b_payload = {
+        "kind": "fmea",
+        "model": build_system_b_simulink().to_dict(),
+        "reliability": reliability_payload(power_network_reliability()),
+        "config": {"assume_stable": list(SYSTEM_B_ASSUMED_STABLE)},
+        "tenant": "ci-smoke",
+    }
+    system_b_naive_rows = fmea_rows_payload(
+        FaultInjectionCampaign(
+            build_system_b_simulink(),
+            power_network_reliability(),
+            assume_stable=SYSTEM_B_ASSUMED_STABLE,
+            incremental=False,
+        ).run()
+    )
 
     with tempfile.TemporaryDirectory() as tmp:
         ledger = Path(tmp) / "ledger.jsonl"
@@ -137,20 +163,32 @@ def main() -> int:
                 f"fingerprint {first['fingerprint'][:16]}…"
             )
 
+            system_b = _wait_done(
+                url, _post(f"{url}/jobs", system_b_payload)["id"]
+            )
+            assert system_b["cached"] is False, "System B must compute"
+            assert system_b["result"]["rows"] == system_b_naive_rows, (
+                "System B rows differ from the naive campaign's rows"
+            )
+            print(
+                f"batched route OK: System B {len(system_b_naive_rows)} rows "
+                "equal the naive campaign's"
+            )
+
             health = json.loads(_get(f"{url}/healthz"))
             service = health["service"]
             assert service["cache_hits"] == 1, service
-            assert service["cache_misses"] == 2, service
-            assert service["jobs"].get("done") == 3, service
+            assert service["cache_misses"] == 3, service
+            assert service["jobs"].get("done") == 4, service
             print(f"healthz OK: {service}")
 
             metrics = _get(f"{url}/metrics").decode("utf-8")
             for needle in (
                 "service_cache_hits 1",
-                "service_cache_misses 2",
+                "service_cache_misses 3",
                 "service_fmea_reuses 1",
-                "service_jobs_submitted 3",
-                "service_jobs_completed 3",
+                "service_jobs_submitted 4",
+                "service_jobs_completed 4",
             ):
                 assert needle in metrics, f"{needle!r} missing from /metrics"
             METRICS_OUT.write_text(metrics, encoding="utf-8")

@@ -14,18 +14,18 @@ Two performance layers sit on top of the plain solver:
   stamps plus the independent-source RHS), so Newton iteration only
   re-stamps the diode companion models on a copy of the cached matrix;
 - :class:`CompiledSystem` additionally caches the LU factorization of the
-  constant matrix and solves single-element replacements (the fault
-  injection workload) through low-rank Sherman–Morrison–Woodbury updates of
-  that factorization, with an exact fallback to full re-assembly whenever a
-  replacement changes the system topology (new or removed branch unknowns,
-  orphaned nodes) or the update turns out numerically unstable.
+  constant matrix and solves batches of single-element replacements (the
+  fault-injection workload) through low-rank Sherman–Morrison–Woodbury
+  updates of that factorization, all of a batch's Newton iterations in
+  lockstep, with an exact fallback to full re-assembly whenever a
+  replacement changes the topology or its update fails a check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import lu_factor as _lu_factor
@@ -85,34 +85,57 @@ def _is_ground(node: str) -> bool:
     return node in GROUND_NAMES
 
 
-@dataclass
 class DCSolution:
-    """DC operating point: node voltages and branch currents."""
+    """DC operating point: node voltages and branch currents.
 
-    node_voltages: Dict[str, float]
-    branch_currents: Dict[str, float]
-    iterations: int = 1
+    Backed by the MNA solution vector and its system's index maps, so a
+    sensor read is one index lookup; the per-name dicts are built only when
+    :attr:`node_voltages` / :attr:`branch_currents` are asked for.
+    """
+
+    __slots__ = ("vector", "iterations", "_nodes", "_branches")
+
+    def __init__(
+        self,
+        vector: np.ndarray,
+        nodes: Dict[str, int],
+        branches: Dict[str, int],
+        iterations: int = 1,
+    ) -> None:
+        self.vector = vector
+        self.iterations = iterations
+        self._nodes = nodes
+        self._branches = branches
+
+    @property
+    def node_voltages(self) -> Dict[str, float]:
+        return {name: float(self.vector[i]) for name, i in self._nodes.items()}
+
+    @property
+    def branch_currents(self) -> Dict[str, float]:
+        vector = self.vector
+        return {name: float(vector[i]) for name, i in self._branches.items()}
 
     def voltage(self, node: str) -> float:
         if _is_ground(node):
             return 0.0
-        try:
-            return self.node_voltages[node]
-        except KeyError:
-            raise CircuitError(f"no node named {node!r}") from None
+        index = self._nodes.get(node)
+        if index is None:
+            raise CircuitError(f"no node named {node!r}")
+        return float(self.vector[index])
 
     def voltage_across(self, node_pos: str, node_neg: str) -> float:
         return self.voltage(node_pos) - self.voltage(node_neg)
 
     def current(self, element_name: str) -> float:
         """Branch current of a voltage source, ammeter or inductor."""
-        try:
-            return self.branch_currents[element_name]
-        except KeyError:
+        index = self._branches.get(element_name)
+        if index is None:
             raise CircuitError(
                 f"element {element_name!r} has no tracked branch current "
-                f"(tracked: {sorted(self.branch_currents)})"
-            ) from None
+                f"(tracked: {sorted(self._branches)})"
+            )
+        return float(self.vector[index])
 
 
 class _System:
@@ -312,14 +335,9 @@ class _System:
         return node_voltage(diode.node_pos) - node_voltage(diode.node_neg)
 
     def to_solution(self, vector: np.ndarray, iterations: int) -> DCSolution:
-        node_voltages = {
-            node: float(vector[idx]) for node, idx in self.node_index.items()
-        }
-        branch_currents = {
-            element.name: float(vector[self.branch_index[element.name]])
-            for element in self.branch_elements
-        }
-        return DCSolution(node_voltages, branch_currents, iterations)
+        return DCSolution(
+            vector, self.node_index, self.branch_index, iterations
+        )
 
 
 def system_size(netlist: Netlist) -> int:
@@ -476,68 +494,15 @@ class SolveStats:
     batched_columns: int = 0  # RHS columns solved through multi-RHS blocks
 
     def merge(self, other: "SolveStats") -> None:
-        self.solves += other.solves
-        self.newton_iterations += other.newton_iterations
-        self.factorization_reuses += other.factorization_reuses
-        self.smw_solves += other.smw_solves
-        self.full_rebuilds += other.full_rebuilds
-        self.baseline_reuses += other.baseline_reuses
-        self.direct_solves += other.direct_solves
-        self.batched_columns += other.batched_columns
+        for name, value in other.to_dict().items():
+            setattr(self, name, getattr(self, name) + value)
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "solves": self.solves,
-            "newton_iterations": self.newton_iterations,
-            "factorization_reuses": self.factorization_reuses,
-            "smw_solves": self.smw_solves,
-            "full_rebuilds": self.full_rebuilds,
-            "baseline_reuses": self.baseline_reuses,
-            "direct_solves": self.direct_solves,
-            "batched_columns": self.batched_columns,
-        }
+        return asdict(self)
 
 
 class _SmwFallback(Exception):
     """Internal: the low-rank path declined; use full assembly instead."""
-
-
-def _solve_small(matrix: List[List[float]], rhs: List[float]) -> List[float]:
-    """Gaussian elimination with partial pivoting, destructive, for the
-    tiny Woodbury capacitance systems.  Pivoting matters: the diagonal
-    mixes ``1/g`` terms spanning many orders of magnitude, so closed-form
-    (Cramer) solutions lose enough digits to trip the residual check.
-    Raises :class:`_SmwFallback` on a zero or non-finite pivot."""
-    k = len(rhs)
-    for col in range(k):
-        piv = col
-        best = abs(matrix[col][col])
-        for row in range(col + 1, k):
-            magnitude = abs(matrix[row][col])
-            if magnitude > best:
-                best = magnitude
-                piv = row
-        pivot = matrix[piv][col]
-        if pivot == 0.0 or not math.isfinite(pivot):
-            raise _SmwFallback
-        if piv != col:
-            matrix[col], matrix[piv] = matrix[piv], matrix[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        top = matrix[col]
-        for row in range(col + 1, k):
-            factor = matrix[row][col] / pivot
-            if factor != 0.0:
-                line = matrix[row]
-                for c in range(col + 1, k):
-                    line[c] -= factor * top[c]
-                rhs[row] -= factor * rhs[col]
-    for col in range(k - 1, -1, -1):
-        accumulated = rhs[col]
-        line = matrix[col]
-        for c in range(col + 1, k):
-            accumulated -= line[c] * rhs[c]
-        rhs[col] = accumulated / line[col]
-    return rhs
 
 
 @dataclass(frozen=True)
@@ -582,15 +547,17 @@ class CompiledSystem:
     operating point and any fault expressible as a same-node element
     replacement (shorts, resistive degradations, parameter drifts, opens
     that leave no node orphaned) are then solved through low-rank
-    Sherman–Morrison–Woodbury updates of that factorization — O(n²) per
-    solve instead of O(n³) — with diode companion models folded into the
-    update as additional rank-one terms per Newton iteration.
+    Sherman–Morrison–Woodbury updates of that factorization, with diode
+    companion models folded into the update as additional rank-one terms
+    per Newton iteration.  :meth:`solve_replacements` runs the Newton
+    iterations of a whole batch of faults in lockstep as numpy blocks
+    (columns = faults); a single fault is a batch of one.
 
     Whenever a fault changes the system topology (removing or retyping a
-    branch element, orphaning a node) or an updated solve fails its residual
-    check, :meth:`solve_replacement` falls back to exact full assembly via
-    :func:`dc_operating_point`, so results never depend on the fast path
-    being applicable.
+    branch element, orphaning a node) or its updated solve fails a check,
+    it leaves the batch and :meth:`solve_replacement` re-assembles it
+    exactly via :func:`dc_operating_point`, so results never depend on the
+    fast path being applicable.
     """
 
     def __init__(
@@ -642,23 +609,14 @@ class CompiledSystem:
         """The healthy (baseline) operating point, computed once and cached."""
         if self._baseline is None:
             plan = _UpdatePlan(diodes=tuple(self._system.diodes))
-            try:
-                if (
-                    self.backend == "dense"
-                    and self._system.size <= _DIRECT_MAX_SIZE
-                ):
-                    # Small systems: Newton on the delta-stamped constant
-                    # matrix directly — the SMW bookkeeping (and even the
-                    # LU factorization) is pure overhead at this size.
-                    self._baseline = self._solve_direct(plan)
-                else:
-                    self._baseline = self._solve_incremental(plan)
-            except _SmwFallback:
+            solution = self._solve_plans([plan])[0]
+            if solution is None:
                 self.stats.full_rebuilds += 1
-                self._baseline = dc_operating_point(
+                solution = dc_operating_point(
                     self.netlist, self.gmin, backend=self.backend
                 )
                 self.stats.solves += 1
+            self._baseline = solution
         return self._baseline
 
     def solve_replacement(
@@ -666,25 +624,13 @@ class CompiledSystem:
     ) -> DCSolution:
         """Operating point with element ``name`` replaced (``None``: removed).
 
-        Solves through the cached factorization when the replacement only
-        re-weights existing stamps; falls back to exact full re-assembly for
-        topology-changing faults.
+        A batch of one: solves through the cached factorization when the
+        replacement only re-weights existing stamps, and falls back to
+        exact full re-assembly otherwise.
         """
-        plan = self._plan_update(name, replacement)
-        if plan is not None:
-            if self._is_baseline_plan(plan):
-                solution = self.solve()
-                self.stats.baseline_reuses += 1
-                return solution
-            try:
-                if (
-                    self.backend == "dense"
-                    and self._system.size <= _DIRECT_MAX_SIZE
-                ):
-                    return self._solve_direct(plan)
-                return self._solve_incremental(plan)
-            except _SmwFallback:
-                pass
+        solution = self.solve_replacements([(name, replacement)])[0]
+        if solution is not None:
+            return solution
         self.stats.full_rebuilds += 1
         with obs.span("mna.full_rebuild", element=name):
             if replacement is None:
@@ -694,6 +640,53 @@ class CompiledSystem:
             solution = dc_operating_point(fault, self.gmin, backend=self.backend)
         self.stats.solves += 1
         return solution
+
+    def solve_replacements(
+        self, faults: Sequence[Tuple[str, Optional[Element]]]
+    ) -> List[Optional[DCSolution]]:
+        """Operating points of many single-element replacements at once.
+
+        Every fault is planned against the baseline: one electrically
+        identical to it returns the cached baseline itself, and the others
+        are solved together by :meth:`_solve_plans`.  ``None`` marks a fault
+        that changes the topology or failed a check of the low-rank route;
+        it needs full re-assembly (which :meth:`solve_replacement` does).
+        Solved faults read straight off one solution block, column ``k``
+        for fault ``k``.
+        """
+        plans = [self._plan_update(name, repl) for name, repl in faults]
+        solutions: List[Optional[DCSolution]] = [None] * len(plans)
+        batch: List[int] = []
+        for k, plan in enumerate(plans):
+            if plan is not None and self._is_baseline_plan(plan):
+                solutions[k] = self.solve()
+                self.stats.baseline_reuses += 1
+            elif plan is not None:
+                batch.append(k)
+        solved = self._solve_plans([plans[k] for k in batch])
+        for k, solution in zip(batch, solved):
+            solutions[k] = solution
+        return solutions
+
+    def _solve_plans(
+        self, plans: Sequence[_UpdatePlan]
+    ) -> List[Optional[DCSolution]]:
+        """Small dense systems solve each plan directly (the Woodbury
+        bookkeeping, and even the LU factorization, is pure overhead at
+        that size); all others go through the lockstep low-rank route."""
+        if not plans:
+            return []
+        if self.backend == "dense" and self._system.size <= _DIRECT_MAX_SIZE:
+            return [self._solve_direct(plan) for plan in plans]
+        try:
+            block, iterations = self._solve_low_rank(plans)
+        except _SmwFallback:
+            return [None] * len(plans)  # no reusable factorization
+        return [
+            None if count is None
+            else self._system.to_solution(block[:, k], count)
+            for k, count in enumerate(iterations)
+        ]
 
     # -- update planning --------------------------------------------------
 
@@ -896,28 +889,20 @@ class CompiledSystem:
                     raise _SmwFallback from None
         return self._sparse_factor
 
-    def _ensure_factorized(self) -> None:
-        """Factorize the constant matrix with this system's backend."""
-        if self.backend == "sparse":
-            self._ensure_sparse()
-        else:
-            self._ensure_lu()
-
-    def _base_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``A0⁻¹ rhs`` through the cached factorization.
-
-        ``rhs`` may be a vector or a 2-D column block — the multi-RHS form:
-        one factorization, all columns solved in a single backend call.
+    def _base_solve(self, block: np.ndarray) -> np.ndarray:
+        """``A0⁻¹ block`` (a column per right-hand side) through the cached
+        factorization.  SuperLU solves the block in one call.  The dense
+        backend solves it column by column: a multi-column LAPACK ``getrs``
+        wakes every thread of the BLAS pool, which on a small shared host
+        costs more than the level-2 solves it saves (System B campaign,
+        2-core host: ~215 ms with block ``getrs``, ~120 ms per column).
         """
-        if self.backend == "sparse":
-            try:
-                return self._ensure_sparse().solve(rhs)
-            except _backends.FactorizationError:
-                raise _SmwFallback from None
-        if self._dense_solve is None:
-            self._dense_solve = _backends.getrs_solver(*self._ensure_lu())
         try:
-            return self._dense_solve(rhs)
+            if self.backend == "sparse":
+                return self._ensure_sparse().solve(block)
+            if self._dense_solve is None:
+                self._dense_solve = _backends.getrs_solver(*self._ensure_lu())
+            return np.column_stack([self._dense_solve(col) for col in block.T])
         except _backends.FactorizationError:
             raise _SmwFallback from None
 
@@ -926,110 +911,6 @@ class CompiledSystem:
         i = self._system._idx(n_pos)
         j = self._system._idx(n_neg)
         return (-1 if i is None else i, -1 if j is None else j)
-
-    def _unit_vector(self, pair: Tuple[int, int]) -> np.ndarray:
-        u = np.zeros(self._system.size)
-        if pair[0] >= 0:
-            u[pair[0]] += 1.0
-        if pair[1] >= 0:
-            u[pair[1]] -= 1.0
-        return u
-
-    def _solved_column(self, pair: Tuple[int, int]) -> np.ndarray:
-        """Cached A0^{-1} u for an update direction."""
-        column = self._column_cache.get(pair)
-        if column is None:
-            column = self._solved_columns([pair])[0]
-        return column
-
-    def _solved_columns(
-        self, pairs: List[Tuple[int, int]]
-    ) -> List[np.ndarray]:
-        """Cached ``A0⁻¹ u`` columns for update directions, batched.
-
-        All uncached directions are solved as ONE multi-RHS block — a
-        matrix whose columns are the unit-difference vectors, handed to the
-        backend in a single solve call — instead of one factorized solve
-        per direction.
-        """
-        missing: List[Tuple[int, int]] = []
-        seen = set()
-        for pair in pairs:
-            if pair not in self._column_cache and pair not in seen:
-                seen.add(pair)
-                missing.append(pair)
-        if missing:
-            block = np.zeros((self._system.size, len(missing)))
-            for col, pair in enumerate(missing):
-                if pair[0] >= 0:
-                    block[pair[0], col] += 1.0
-                if pair[1] >= 0:
-                    block[pair[1], col] -= 1.0
-            solved = self._base_solve(block)
-            for col, pair in enumerate(missing):
-                self._column_cache[pair] = np.ascontiguousarray(
-                    solved[:, col]
-                )
-            self.stats.factorization_reuses += len(missing)
-            self.stats.batched_columns += len(missing)
-            if obs.enabled():
-                obs.counter("mna_batched_rhs_columns").inc(len(missing))
-        return [self._column_cache[pair] for pair in pairs]
-
-    def _woodbury(
-        self,
-        pairs: List[Tuple[int, int]],
-        gains: List[float],
-        rhs: np.ndarray,
-        y: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Solve (A0 + sum g_k u_k u_k^T) x = rhs against the cached LU.
-
-        ``y`` short-circuits the base solve when the caller already knows
-        ``A0^{-1} rhs`` (the Newton loop derives it from cached columns).
-        """
-        if y is None:
-            y = self._base_solve(rhs)
-            self.stats.factorization_reuses += 1
-        if not pairs:
-            return y
-        k = len(pairs)
-        columns = self._solved_columns(pairs)
-
-        def dot_u(pair: Tuple[int, int], vector: np.ndarray) -> float:
-            value = 0.0
-            if pair[0] >= 0:
-                value += vector[pair[0]]
-            if pair[1] >= 0:
-                value -= vector[pair[1]]
-            return value
-
-        small_rhs = [dot_u(pair, y) for pair in pairs]
-        # np.linalg.solve carries setup overhead dwarfing the O(k³) work at
-        # the rank counts seen here; solve small systems with a pure-Python
-        # partial-pivoted elimination and keep LAPACK for larger updates.
-        if k <= 6:
-            capacitance_rows = [
-                [dot_u(pair, columns[b]) for b in range(k)] for pair in pairs
-            ]
-            for a in range(k):
-                capacitance_rows[a][a] += 1.0 / gains[a]
-            weights = _solve_small(capacitance_rows, small_rhs)
-        else:
-            capacitance = np.empty((k, k))
-            for a, pair in enumerate(pairs):
-                for b in range(k):
-                    capacitance[a, b] = dot_u(pair, columns[b])
-                capacitance[a, a] += 1.0 / gains[a]
-            try:
-                with np.errstate(all="ignore"):
-                    weights = np.linalg.solve(capacitance, np.array(small_rhs))
-            except np.linalg.LinAlgError:
-                raise _SmwFallback from None
-        x = y.copy()
-        for column, weight in zip(columns, weights):
-            x -= weight * column
-        return x
 
     def _warm_diode_voltages(self) -> Dict[str, float]:
         """Converged diode biases of the baseline, for Newton warm starts.
@@ -1054,24 +935,9 @@ class CompiledSystem:
             self._warm_vd = warm
         return self._warm_vd
 
-    def _solve_incremental(self, plan: _UpdatePlan) -> DCSolution:
-        if not obs.enabled():
-            return self._solve_incremental_impl(plan)
-        with obs.span(
-            "mna.smw_solve",
-            removed=plan.removed,
-            size=self._system.size,
-            **{"solver.backend": self.backend},
-        ) as sp:
-            solution = self._solve_incremental_impl(plan)
-            sp.set(iterations=solution.iterations)
-            return solution
-
     # -- the direct small-system solver -----------------------------------
 
-    def _solve_direct(self, plan: _UpdatePlan) -> DCSolution:
-        if not obs.enabled():
-            return self._solve_direct_impl(plan)
+    def _solve_direct(self, plan: _UpdatePlan) -> Optional[DCSolution]:
         with obs.span(
             "mna.direct_solve",
             removed=plan.removed,
@@ -1079,10 +945,11 @@ class CompiledSystem:
             **{"solver.backend": self.backend},
         ) as sp:
             solution = self._solve_direct_impl(plan)
-            sp.set(iterations=solution.iterations)
+            if solution is not None:
+                sp.set(iterations=solution.iterations)
             return solution
 
-    def _solve_direct_impl(self, plan: _UpdatePlan) -> DCSolution:
+    def _solve_direct_impl(self, plan: _UpdatePlan) -> Optional[DCSolution]:
         """Delta-stamp the cached constant matrix and solve densely.
 
         For systems of at most :data:`_DIRECT_MAX_SIZE` unknowns the
@@ -1134,9 +1001,9 @@ class CompiledSystem:
                 with np.errstate(all="ignore"):
                     vector = np.linalg.solve(matrix, rhs)
             except np.linalg.LinAlgError:
-                raise _SmwFallback from None
+                return None
             if not np.all(np.isfinite(vector)):
-                raise _SmwFallback
+                return None
             if not diodes:
                 solution_vector = vector
                 break
@@ -1157,182 +1024,262 @@ class CompiledSystem:
         else:
             # The full path would not converge either, but let it make that
             # call (and raise its canonical error) itself.
-            raise _SmwFallback
+            return None
 
         self.stats.solves += 1
         self.stats.newton_iterations += iterations
         self.stats.direct_solves += 1
         return system.to_solution(solution_vector, iterations)
 
-    def _solve_incremental_impl(self, plan: _UpdatePlan) -> DCSolution:
-        system = self._system
-        self._ensure_factorized()
-        base_rhs = system.constant_rhs()
-        if self.backend == "sparse":
-            # Residual checks only need `A0 @ v`; the CSC form keeps large
-            # systems from ever materialising the dense constant matrix.
-            base_matrix = system.assemble_constant_csc()
-        else:
-            base_matrix, _ = system.assemble_constant()
 
-        rhs_static = base_rhs.copy()
-        for n_from, n_to, delta_i in plan.rhs_current:
-            system._stamp_current(rhs_static, n_from, n_to, delta_i)
-        for row, delta_v in plan.rhs_branch:
-            rhs_static[row] += delta_v
+    # -- the batched low-rank solver ----------------------------------------
 
-        # Unique update directions; updates sharing a direction merge (a
-        # switch replaced by an equal-conductance short cancels exactly) so
-        # the capacitance matrix stays small and well-conditioned.  The
-        # static contributions accumulate once; diode companion gains are
-        # added into their slots every Newton iteration.
-        slot_of: Dict[Tuple[int, int], int] = {}
-        directions: List[Tuple[int, int]] = []
-        static_net: List[float] = []
+    def _solve_low_rank(
+        self, plans: Sequence[_UpdatePlan]
+    ) -> Tuple[np.ndarray, List[Optional[int]]]:
+        """Newton–Woodbury for every plan in lockstep (columns = plans).
 
-        def slot(pair: Tuple[int, int]) -> int:
-            index = slot_of.get(pair)
-            if index is None:
-                index = len(directions)
-                slot_of[pair] = index
-                directions.append(pair)
-                static_net.append(0.0)
-            return index
+        Plan ``f``'s matrix is ``A0 + U_f diag(g_f) U_fᵀ``: its static
+        conductance changes plus one diode companion gain per Newton pass,
+        along unit-difference directions ``u = e_i - e_j``.  With
+        ``Z = A0⁻¹ U`` cached over the batch's D distinct directions and the
+        Gram matrix ``G = Uᵀ Z``, a pass costs one stacked solve of the
+        small capacitance systems ``G[slots, slots] + diag(1/g)``, a few
+        slot-wise gathers of ``Z`` and sparse residual products through the
+        cached CSC matrix — the same work for every column at once.
 
-        for n_pos, n_neg, delta_g in plan.conductance:
-            static_net[slot(self._direction(n_pos, n_neg))] += delta_g
-        for row, delta in plan.branch_diag:
-            static_net[slot((row, -1))] += delta
-
-        diodes = list(plan.diodes)
-        diode_slots = [
-            slot(self._direction(d.node_pos, d.node_neg)) for d in diodes
-        ]
-        diode_columns = self._solved_columns(
-            [directions[i] for i in diode_slots]
-        )
-        warm = self._warm_diode_voltages()
-        diode_voltages = {d.name: warm.get(d.name, 0.6) for d in diodes}
-
-        # One factorized solve of the static RHS serves every Newton
-        # iteration: stamping a diode's equivalent current adds -ieq * u to
-        # the RHS, so A0^{-1} rhs is y_static - ieq * (A0^{-1} u), and the
-        # A0^{-1} u columns are already cached per direction.
-        y_static = self._base_solve(rhs_static)
-        self.stats.factorization_reuses += 1
-
-        solution_vector: Optional[np.ndarray] = None
-        iterations = 0
-        smw_used = False
-        for iterations in range(1, _MAX_NEWTON_ITERATIONS + 1):
-            all_gains = list(static_net)
-            if diodes:
-                rhs = rhs_static.copy()
-                y = y_static.copy()
-                for diode, index, column in zip(
-                    diodes, diode_slots, diode_columns
-                ):
-                    g, ieq = _System._diode_companion(
-                        diode, diode_voltages[diode.name]
-                    )
-                    all_gains[index] += g
-                    system._stamp_current(
-                        rhs, diode.node_pos, diode.node_neg, ieq
-                    )
-                    y -= ieq * column
-            else:
-                rhs = rhs_static
-                y = y_static
-            pairs = [
-                p for p, g in zip(directions, all_gains) if abs(g) >= 1e-18
-            ]
-            gains = [g for g in all_gains if abs(g) >= 1e-18]
-            vector = self._refined_solve(base_matrix, pairs, gains, rhs, y)
-            smw_used = smw_used or bool(pairs)
-            if not diodes:
-                solution_vector = vector
-                break
-            converged = True
-            for diode in diodes:
-                old_vd = diode_voltages[diode.name]
-                new_vd = system.diode_voltage(vector, diode)
-                step = new_vd - old_vd
-                if abs(step) > _MAX_DIODE_STEP:
-                    new_vd = old_vd + math.copysign(_MAX_DIODE_STEP, step)
-                    converged = False
-                elif abs(step) > _NEWTON_TOLERANCE:
-                    converged = False
-                diode_voltages[diode.name] = new_vd
-            solution_vector = vector
-            if converged:
-                break
-        else:
-            # The full path would not converge either, but let it make that
-            # call (and raise its canonical error) itself.
-            raise _SmwFallback
-
-        self.stats.solves += 1
-        self.stats.newton_iterations += iterations
-        if smw_used:
-            self.stats.smw_solves += 1
-        return system.to_solution(solution_vector, iterations)
-
-    def _residual(
-        self,
-        base_matrix: np.ndarray,
-        pairs: List[Tuple[int, int]],
-        gains: List[float],
-        vector: np.ndarray,
-        rhs: np.ndarray,
-    ) -> np.ndarray:
-        """rhs - (A0 + sum g_k u_k u_k^T) @ vector, in O(n²)."""
-        residual = rhs - base_matrix @ vector
-        for pair, gain in zip(pairs, gains):
-            projected = 0.0
-            if pair[0] >= 0:
-                projected += vector[pair[0]]
-            if pair[1] >= 0:
-                projected -= vector[pair[1]]
-            term = gain * projected
-            if pair[0] >= 0:
-                residual[pair[0]] -= term
-            if pair[1] >= 0:
-                residual[pair[1]] += term
-        return residual
-
-    def _refined_solve(
-        self,
-        base_matrix: np.ndarray,
-        pairs: List[Tuple[int, int]],
-        gains: List[float],
-        rhs: np.ndarray,
-        y: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Woodbury solve, iteratively refined and residual-checked.
-
-        Large update gains (a diode companion mid-Newton can reach ~1e8)
-        make the raw low-rank correction cancel up to ~11 digits.  Each
-        refinement pass re-solves for the residual through the same cached
-        factorization — O(n²) — and shrinks the error by the same
-        cancellation factor, so a couple of passes restore near-machine
-        accuracy without ever re-factorizing.  If the error still exceeds
-        ``_SMW_RESIDUAL_TOL`` after refinement, the update direction is
-        numerically hostile and the solve falls back to full assembly.
+        Each column keeps the per-fault checks: the baseline warm start,
+        the 0.5 V diode step limit and the iteration cap, finite solutions,
+        the residual against the true modified system, up to
+        ``_MAX_SMW_REFINEMENTS`` refinement passes (only on the columns
+        still above target) and rejection above ``_SMW_RESIDUAL_TOL``.  A
+        column failing any of them leaves the batch with ``None``
+        iterations and never holds the others back.  Returns the solution
+        block and each plan's Newton iteration count.
         """
-        vector = self._woodbury(pairs, gains, rhs, y)
-        scale = 1.0 + float(np.max(np.abs(rhs)))
-        target = 1e-12 * scale
-        error = math.inf
-        for attempt in range(_MAX_SMW_REFINEMENTS + 1):
-            if not np.all(np.isfinite(vector)):
-                raise _SmwFallback
-            residual = self._residual(base_matrix, pairs, gains, vector, rhs)
-            error = float(np.max(np.abs(residual)))
-            if not math.isfinite(error):
-                raise _SmwFallback
-            if error <= target or attempt == _MAX_SMW_REFINEMENTS:
+        with obs.span(
+            "mna.batch_solve",
+            faults=len(plans),
+            size=self._system.size,
+            **{"solver.backend": self.backend},
+        ) as sp, np.errstate(all="ignore"):
+            out, iterations, passes, smw_used = self._lockstep(plans)
+            solved = [f for f, count in enumerate(iterations) if count]
+            sp.set(passes=passes, fallbacks=len(plans) - len(solved))
+        self.stats.solves += len(solved)
+        self.stats.newton_iterations += sum(iterations[f] for f in solved)
+        self.stats.smw_solves += int(np.count_nonzero(smw_used[solved]))
+        return out, iterations
+
+    def _lockstep(
+        self, plans: Sequence[_UpdatePlan]
+    ) -> Tuple[np.ndarray, List[Optional[int]], int, np.ndarray]:
+        """:meth:`_solve_low_rank`'s loop: the solution block, iterations
+        per plan, passes run, and which plans used a low-rank term."""
+        from scipy.sparse import csr_matrix
+
+        system = self._system
+        size, count = system.size, len(plans)
+        matrix = system.assemble_constant_csc()
+        warm = self._warm_diode_voltages()
+
+        # Each plan's slots are its distinct update directions (indices
+        # into the batch-wide list); a diode's companion gain joins its
+        # direction's slot.  Plans are padded to K slots and M diodes: a
+        # padded slot points at direction D (a zero basis column).
+        index: Dict[Tuple[int, int], int] = {}
+        rhs_static = np.repeat(system.constant_rhs()[:, None], count, axis=1)
+        layouts = []
+        for f, plan in enumerate(plans):
+            for n_from, n_to, delta_i in plan.rhs_current:
+                system._stamp_current(rhs_static[:, f], n_from, n_to, delta_i)
+            for row, delta_v in plan.rhs_branch:
+                rhs_static[row, f] += delta_v
+            where: Dict[int, int] = {}
+            static: List[float] = []
+
+            def slot(pair: Tuple[int, int]) -> int:
+                d = index.setdefault(pair, len(index))
+                if d not in where:
+                    where[d] = len(static)
+                    static.append(0.0)
+                return where[d]
+
+            for n_pos, n_neg, delta_g in plan.conductance:
+                static[slot(self._direction(n_pos, n_neg))] += delta_g
+            for row, delta in plan.branch_diag:
+                static[slot((row, -1))] += delta
+            diodes = [
+                (slot(self._direction(d.node_pos, d.node_neg)),
+                 d.saturation_current, d.ideality * d.thermal_voltage,
+                 warm.get(d.name, 0.6))
+                for d in plan.diodes
+            ]
+            layouts.append((list(where), static, diodes))
+        directions = list(index)
+        n_dir = len(directions)
+        n_slots = max([1] + [len(layout[1]) for layout in layouts])
+        n_diodes = max(len(layout[2]) for layout in layouts)
+        dirs = np.full((count, n_slots), n_dir)
+        static_gain = np.zeros((count, n_slots))
+        d_slot = np.full((count, n_diodes), n_slots)
+        d_par = np.zeros((3, count, n_diodes))  # I_s, n·V_T, bias
+        d_par[1] = 1.0
+        for f, (slot_dirs, static, diodes) in enumerate(layouts):
+            dirs[f, : len(static)] = slot_dirs
+            static_gain[f, : len(static)] = static
+            for m, (k, *params) in enumerate(diodes):
+                d_slot[f, m] = k
+                d_par[:, f, m] = params
+        valid = d_slot < n_slots
+        d_dir = np.where(valid, np.take_along_axis(
+            dirs, np.minimum(d_slot, n_slots - 1), axis=1), n_dir)
+        bias = d_par[2]
+
+        # U and Z = A0⁻¹ U as dense n×(D+1) bases whose last column is zero
+        # (padded slots).  Directions no earlier batch cached are solved as
+        # one multi-RHS block.
+        u = np.zeros((size, n_dir + 1))
+        for d, (i, j) in enumerate(directions):
+            if i >= 0:
+                u[i, d] = 1.0
+            if j >= 0:
+                u[j, d] -= 1.0
+        missing = [d for d, pair in enumerate(directions)
+                   if pair not in self._column_cache]
+        if missing:
+            solved = self._base_solve(u[:, missing])
+            for col, d in enumerate(missing):
+                self._column_cache[directions[d]] = solved[:, col]
+            self.stats.factorization_reuses += len(missing)
+            self.stats.batched_columns += len(missing)
+            if obs.enabled():
+                obs.counter("mna_batched_rhs_columns").inc(len(missing))
+        z = np.zeros_like(u)
+        for d, pair in enumerate(directions):
+            z[:, d] = self._column_cache[pair]
+        ut = csr_matrix(u[:, :n_dir].T)
+        gram = np.zeros((n_dir + 1, n_dir + 1))
+        gram[:n_dir, :n_dir] = ut @ z[:, :n_dir]
+
+        def along(block: np.ndarray, slot_dirs: np.ndarray) -> np.ndarray:
+            """``uᵀ x`` per column's slots (F×K; 0 on padded slots)."""
+            projected = np.zeros((n_dir + 1, block.shape[1]))
+            projected[:n_dir] = ut @ block
+            return projected[slot_dirs, np.arange(len(slot_dirs))[:, None]]
+
+        def combine(basis: np.ndarray, values: np.ndarray,
+                    slot_dirs: np.ndarray) -> np.ndarray:
+            """``Σ_k values[:, k]·basis[:, dir_k]`` per column (n×F): K
+            gathers, where a dense (n×D)·(D×F) BLAS product would wake
+            every thread of the BLAS pool for a tiny product."""
+            out = np.zeros((size, len(values)))
+            for k in range(values.shape[1]):
+                gathered = basis[:, slot_dirs[:, k]]
+                gathered *= values[:, k]
+                out += gathered
+            return out
+
+        y_static = self._base_solve(rhs_static)
+        self.stats.factorization_reuses += count
+        out = np.zeros((size, count))
+        iterations: List[Optional[int]] = [None] * count
+        smw_used = np.zeros(count, dtype=bool)
+        active = np.arange(count)
+        passes = 0
+        for passes in range(1, _MAX_NEWTON_ITERATIONS + 1):
+            n_act = len(active)
+            at = np.arange(n_act)[:, None]
+            a_dirs, a_ddir = dirs[active], d_dir[active]
+            a_valid = valid[active]
+            # Diode companion models at each column's current bias.
+            i_sat, n_vt = d_par[0, active], d_par[1, active]
+            vd = np.minimum(bias[active], 2.0)
+            exp_term = np.exp(vd / n_vt)
+            g = np.maximum(i_sat * exp_term / n_vt, 1e-12) * a_valid
+            ieq = (i_sat * (exp_term - 1.0) - g * vd) * a_valid
+            gain = np.zeros((n_act, n_slots + 1))
+            gain[:, :n_slots] = static_gain[active]
+            np.add.at(gain, (np.broadcast_to(at, g.shape), d_slot[active]), g)
+            gain = gain[:, :n_slots]
+            live = np.abs(gain) >= 1e-18
+            gain[~live] = 0.0
+            smw_used[active] |= live.any(axis=1)
+            # Stamping -ieq·u on the RHS moves A0⁻¹ rhs by -ieq·z.
+            rhs = rhs_static[:, active]
+            rhs -= combine(u, ieq, a_ddir)
+            y = y_static[:, active]
+            y -= combine(z, ieq, a_ddir)
+            capacitance = gram[a_dirs[:, :, None], a_dirs[:, None, :]]
+            capacitance[~live] = 0.0
+            capacitance.transpose(0, 2, 1)[~live] = 0.0
+            diagonal = np.arange(n_slots)
+            capacitance[:, diagonal, diagonal] += np.where(
+                live, 1.0 / np.where(live, gain, 1.0), 1.0
+            )
+
+            def woodbury(y_block: np.ndarray, sel: np.ndarray) -> np.ndarray:
+                """``y_block`` (``A0⁻¹ rhs``) corrected in place."""
+                b = np.where(live[sel], along(y_block, a_dirs[sel]), 0.0)
+                weights = _solve_stacked(capacitance[sel], b)
+                y_block -= combine(z, weights, a_dirs[sel])
+                return y_block
+
+            x = woodbury(y, np.arange(n_act))
+            scale = 1.0 + np.max(np.abs(rhs), axis=0)
+            error = np.full(n_act, np.inf)
+            todo = np.arange(n_act)
+            for attempt in range(_MAX_SMW_REFINEMENTS + 1):
+                finite = np.isfinite(x[:, todo]).all(axis=0)
+                error[todo[~finite]] = np.inf
+                todo = todo[finite]
+                if not todo.size:
+                    break
+                x_todo = x[:, todo]
+                terms = gain[todo] * along(x_todo, a_dirs[todo])
+                residual = rhs[:, todo]
+                residual -= matrix @ x_todo
+                residual -= combine(u, terms, a_dirs[todo])
+                error[todo] = np.max(np.abs(residual), axis=0)
+                more = error[todo] > 1e-12 * scale[todo]
+                if attempt == _MAX_SMW_REFINEMENTS or not more.any():
+                    break
+                todo = todo[more]
+                corrections = self._base_solve(residual[:, more])
+                self.stats.factorization_reuses += todo.size
+                x[:, todo] += woodbury(corrections, todo)
+            ok = error <= _SMW_RESIDUAL_TOL * scale  # NaN fails too
+            old, new = bias[active], along(x, a_ddir)
+            step = new - old
+            converged = ~(np.abs(step) > _NEWTON_TOLERANCE).any(axis=1)
+            bias[active] = np.where(
+                np.abs(step) > _MAX_DIODE_STEP,
+                old + np.copysign(_MAX_DIODE_STEP, step), new,
+            )
+            finished = ok & converged
+            out[:, active[finished]] = x[:, finished]
+            for f in active[finished]:
+                iterations[f] = passes
+            active = active[ok & ~converged]
+            if not active.size:
                 break
-            vector = vector + self._woodbury(pairs, gains, residual)
-        if error > _SMW_RESIDUAL_TOL * scale:
-            raise _SmwFallback
-        return vector
+        return out, iterations, passes, smw_used
+
+def _solve_stacked(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the stacked small systems ``matrices[f] w = rhs[f]`` at once.
+
+    A singular system yields NaN weights, so its column fails the finite
+    check alone instead of failing the whole stack.  The right-hand sides
+    go in as ``(F, K, 1)``: numpy 2 broadcasts a stacked 1-D ``b``
+    differently from numpy 1.
+    """
+    try:
+        return np.linalg.solve(matrices, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        weights = np.full(rhs.shape, np.nan)
+        for f in range(len(rhs)):
+            try:
+                weights[f] = np.linalg.solve(matrices[f], rhs[f])
+            except np.linalg.LinAlgError:
+                pass
+        return weights

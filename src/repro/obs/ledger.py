@@ -47,7 +47,8 @@ import os
 import subprocess
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import (
     Callable,
@@ -274,12 +275,19 @@ class LedgerEntry:
         return f"{self.kind}-{self.content_digest[:12]}"
 
     def to_dict(self) -> Dict[str, object]:
-        payload = asdict(self)
-        payload.pop("seq")
+        """The entry's ledger-line payload, with its content digest
+        computed once.
+
+        Shallow: nested values are the entry's own objects, which the
+        line's ``json.dumps`` serialises as they are — a deep copy of every
+        row would cost more than the write.
+        """
+        payload = {name: getattr(self, name) for name in _ENTRY_FIELDS}
+        digest = self.content_digest
         payload["v"] = _VERSION
         payload["type"] = "entry"
-        payload["id"] = self.entry_id
-        payload["digest"] = self.content_digest
+        payload["id"] = f"{self.kind}-{digest[:12]}"
+        payload["digest"] = digest
         return payload
 
     @classmethod
@@ -297,6 +305,12 @@ class LedgerEntry:
         entry = cls(**fields)  # type: ignore[arg-type]
         entry.seq = seq
         return entry
+
+
+#: The fields a ledger line carries (``seq`` is the line's position).
+_ENTRY_FIELDS = tuple(
+    f.name for f in dataclass_fields(LedgerEntry) if f.name != "seq"
+)
 
 
 def _row_digests(rows: Sequence[Mapping[str, object]]) -> Dict[str, str]:
@@ -459,6 +473,7 @@ class LedgerIndex:
         raw: bytes,
         offset: int,
         payload: Optional[Mapping[str, object]] = None,
+        trusted: bool = False,
     ) -> Dict[str, object]:
         """The index record for one raw ledger line.
 
@@ -468,7 +483,8 @@ class LedgerIndex:
         entry and a path — anything else is junk (``x``) and only its
         offsets are kept.  The content digest is *recomputed* from the
         payload (never trusted from the line) so indexed ``resolve()``
-        matches the scan even on hand-written lines.
+        matches the scan even on hand-written lines — except for a
+        ``trusted`` payload this process built and just appended.
         """
         record: Dict[str, object] = {
             "o": offset,
@@ -492,10 +508,14 @@ class LedgerIndex:
                 entry = LedgerEntry.from_dict(payload)
             except (TypeError, ValueError, KeyError):
                 return record
+            digest = (
+                str(payload["digest"]) if trusted and "digest" in payload
+                else entry.content_digest
+            )
             record.update(
                 t="e",
-                id=entry.entry_id,
-                g=entry.content_digest,
+                id=f"{entry.kind}-{digest[:12]}",
+                g=digest,
                 k=entry.kind,
                 s=entry.system,
                 q=len(self.entries),
@@ -676,7 +696,8 @@ class LedgerIndex:
         self, raw: bytes, offset: int, payload: Mapping[str, object]
     ) -> None:
         """Index one line this process just appended (no re-parse)."""
-        record = self._index_line(raw, offset, payload=payload)
+        # The payload is this process's own: its id/digest are trusted.
+        record = self._index_line(raw, offset, payload=payload, trusted=True)
         self._register(record)
         self._persist_append([record])
         self.size = offset + len(raw)
@@ -832,10 +853,11 @@ class AnalysisLedger:
             entry.meta.setdefault("correlation_id", cid)
         with self._lock:
             entry.seq = self._next_seq()
+            payload = entry.to_dict()  # the one content digest per append
             with obs.span(
-                "ledger.record", entry=entry.entry_id, kind=entry.kind
+                "ledger.record", entry=payload["id"], kind=entry.kind
             ):
-                self._append_line(entry.to_dict())
+                self._append_line(payload)
         return entry
 
     def attach_artifact(

@@ -7,9 +7,9 @@ This module turns that loop into a campaign:
 1. the model is flattened and the healthy baseline solved **once**;
 2. every injection is enumerated up front as an :class:`InjectionJob`;
 3. jobs execute against a single :class:`~repro.circuit.CompiledSystem`
-   (cached LU factorization + Sherman–Morrison–Woodbury low-rank updates,
-   with exact full-assembly fallback), either serially or fanned out over a
-   process pool with deterministic row ordering;
+   (cached LU + low-rank updates, all pending jobs solved as one batch,
+   exact full-assembly fallback per job), either serially or fanned out
+   over a process pool with deterministic row ordering;
 4. rows are classified in enumeration order, so the resulting
    :class:`~repro.safety.fmea.FmeaResult` is row-for-row identical to the
    historical per-mode re-solve, whatever the execution strategy.
@@ -149,14 +149,8 @@ class CampaignStats:
     )
 
     def absorb(self, solve_stats: SolveStats) -> None:
-        self.solves += solve_stats.solves
-        self.newton_iterations += solve_stats.newton_iterations
-        self.factorization_reuses += solve_stats.factorization_reuses
-        self.smw_solves += solve_stats.smw_solves
-        self.full_rebuilds += solve_stats.full_rebuilds
-        self.baseline_reuses += solve_stats.baseline_reuses
-        self.direct_solves += solve_stats.direct_solves
-        self.batched_columns += solve_stats.batched_columns
+        for name, value in solve_stats.to_dict().items():
+            setattr(self, name, getattr(self, name) + value)
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -225,6 +219,61 @@ def _readings_from_solution(
     return readings
 
 
+@dataclass(frozen=True)
+class _Presolved:
+    """A shared compiled system plus the outcomes one batched solve of the
+    pending jobs already produced, keyed by job index."""
+
+    compiled: CompiledSystem
+    outcomes: Dict[int, _Outcome]
+
+
+def _presolve(
+    conversion: ElectricalConversion,
+    compiled: Optional[CompiledSystem],
+    jobs: Sequence[InjectionJob],
+) -> Optional[_Presolved]:
+    """Solve the jobs as one :meth:`CompiledSystem.solve_replacements`
+    batch; each solved job's readings come straight off the batch's block.
+
+    Jobs the batch leaves unsolved (topology changes, failed checks) get no
+    outcome and solve alone in the per-job loop; if the batch itself
+    raises, no job does, so each succeeds or fails on its own inside
+    :func:`_run_job_isolated`.
+    """
+    if compiled is None:
+        return None
+    shared = _Presolved(compiled, {})
+    try:
+        faults = [(job.element_name, _job_replacement(conversion, job))
+                  for job in jobs]
+        solutions = compiled.solve_replacements(faults)
+    except Exception:  # noqa: BLE001 — every job then solves on its own
+        return shared
+    for job, (_, replacement), solution in zip(jobs, faults, solutions):
+        if solution is not None:
+            shared.outcomes[job.index] = _dc_outcome(
+                conversion, job, replacement, solution
+            )
+    return shared
+
+
+def _job_replacement(conversion: ElectricalConversion, job: InjectionJob):
+    return _behavior_replacement(
+        conversion.netlist, job.element_name, job.behavior, job.block_params
+    )
+
+
+def _dc_outcome(
+    conversion: ElectricalConversion, job: InjectionJob, replacement, solution
+) -> _Outcome:
+    removed = job.element_name if replacement is None else None
+    try:
+        return ("ok", _readings_from_solution(conversion, solution, removed))
+    except CircuitError as exc:
+        return ("error", str(exc))
+
+
 def _observe_job_times(walls: Sequence[float], seconds: Sequence[float]) -> None:
     """Feed the per-job histograms one batch per progress tick or pool
     chunk: a registry lookup plus a locked observe per job would cost as
@@ -240,7 +289,7 @@ def _observe_job_times(walls: Sequence[float], seconds: Sequence[float]) -> None
 
 def _execute_job(
     conversion: ElectricalConversion,
-    compiled: Optional[CompiledSystem],
+    shared: Optional[_Presolved],
     job: InjectionJob,
     analysis: str,
     t_stop: float,
@@ -253,7 +302,7 @@ def _execute_job(
     spans afterwards).
     """
     if not obs.enabled():
-        return _execute_job_impl(conversion, compiled, job, analysis, t_stop, dt)
+        return _execute_job_impl(conversion, shared, job, analysis, t_stop, dt)
     with obs.span(
         "campaign.job",
         job=job.index,
@@ -261,7 +310,7 @@ def _execute_job(
         failure_mode=job.failure_mode,
     ) as sp:
         outcome = _execute_job_impl(
-            conversion, compiled, job, analysis, t_stop, dt
+            conversion, shared, job, analysis, t_stop, dt
         )
         sp.set(outcome=outcome[0])
         return outcome
@@ -269,22 +318,23 @@ def _execute_job(
 
 def _execute_job_impl(
     conversion: ElectricalConversion,
-    compiled: Optional[CompiledSystem],
+    shared: Optional[_Presolved],
     job: InjectionJob,
     analysis: str,
     t_stop: float,
     dt: float,
 ) -> _Outcome:
-    if compiled is not None and analysis == "dc":
-        replacement = _behavior_replacement(
-            conversion.netlist, job.element_name, job.behavior, job.block_params
-        )
+    if shared is not None and analysis == "dc":
+        if job.index in shared.outcomes:
+            return shared.outcomes[job.index]
+        replacement = _job_replacement(conversion, job)
         try:
-            solution = compiled.solve_replacement(job.element_name, replacement)
-            removed = job.element_name if replacement is None else None
-            return ("ok", _readings_from_solution(conversion, solution, removed))
+            solution = shared.compiled.solve_replacement(
+                job.element_name, replacement
+            )
         except CircuitError as exc:
             return ("error", str(exc))
+        return _dc_outcome(conversion, job, replacement, solution)
     injected = _apply_behavior(
         conversion.netlist, job.element_name, job.behavior, job.block_params
     )
@@ -300,7 +350,7 @@ def _execute_job_impl(
 
 def _run_job_isolated(
     conversion: ElectricalConversion,
-    compiled: Optional[CompiledSystem],
+    shared: Optional[_Presolved],
     job: InjectionJob,
     analysis: str,
     t_stop: float,
@@ -324,14 +374,14 @@ def _run_job_isolated(
     """
     started = time.perf_counter()
     outcome, retries, timeouts, seconds = _attempt_job(
-        conversion, compiled, job, analysis, t_stop, dt, policy, timeout
+        conversion, shared, job, analysis, t_stop, dt, policy, timeout
     )
     return outcome, retries, timeouts, time.perf_counter() - started, seconds
 
 
 def _attempt_job(
     conversion: ElectricalConversion,
-    compiled: Optional[CompiledSystem],
+    shared: Optional[_Presolved],
     job: InjectionJob,
     analysis: str,
     t_stop: float,
@@ -346,7 +396,7 @@ def _attempt_job(
             with job_deadline(timeout):
                 started = time.perf_counter()
                 outcome = _execute_job(
-                    conversion, compiled, job, analysis, t_stop, dt
+                    conversion, shared, job, analysis, t_stop, dt
                 )
                 seconds = time.perf_counter() - started
             return outcome, attempt, 0, seconds
@@ -480,9 +530,10 @@ def _campaign_worker_chunk(
     # the parent (and /events subscribers) can see which warm-pool workers
     # are actually serving — it rides home in the drained payload below.
     obs.emit_event("worker_heartbeat", chunk_jobs=len(chunk))
+    shared = _presolve(conversion, compiled, chunk)
     for job in chunk:
         outcome, retries, timeouts, wall, seconds = _run_job_isolated(
-            conversion, compiled, job, analysis, t_stop, dt,
+            conversion, shared, job, analysis, t_stop, dt,
             policy, job_timeout,
         )
         extras["retries"] += retries  # type: ignore[operator]
@@ -773,12 +824,13 @@ class FaultInjectionCampaign:
             compiled = self._shared_compiled or _primed_system(
                 conversion.netlist, backend=self.solver_backend
             )
+        shared = _presolve(conversion, compiled, jobs)
         outcomes: Dict[int, _Outcome] = {}
         emitted_at = 0
         job_seconds: List[float] = []  # since the last progress tick
         for position, job in enumerate(jobs, start=1):
             outcome, retries, timeouts, wall, seconds = _run_job_isolated(
-                conversion, compiled, job, self.analysis,
+                conversion, shared, job, self.analysis,
                 self.t_stop, self.dt, self.retry_policy, self.job_timeout,
             )
             stats.retries += retries

@@ -20,9 +20,11 @@ import pytest
 from repro.casestudies import (
     SYSTEM_A_ASSUMED_STABLE,
     SYSTEM_B_ASSUMED_STABLE,
+    build_power_grid_simulink,
     build_power_supply_simulink,
     build_system_a_simulink,
     build_system_b_simulink,
+    power_grid_injection_sample,
     power_network_reliability,
     power_supply_reliability,
 )
@@ -161,3 +163,38 @@ def test_campaign_stats_round_trip(campaign_results):
     assert as_dict["jobs"] == stats.jobs
     assert as_dict["mode"] == "incremental"
     assert as_dict["wall_time"] >= 0.0
+
+
+#: Per-fault solver counters of each incremental campaign — (solves,
+#: smw_solves, newton_iterations, full_rebuilds, baseline_reuses).  The
+#: batched route reproduces the counts of the per-fault route it replaced.
+_PINNED_COUNTERS = {
+    "power_supply": (8, 0, 59, 0, 2),
+    "system_a": (27, 0, 197, 1, 4),
+    "system_b": (203, 201, 1110, 2, 28),
+    "grid": (61, 61, 300, 0, 0),  # 4x150 grid, injection sample seed 1
+}
+
+
+def _counters(stats):
+    return (
+        stats.solves, stats.smw_solves, stats.newton_iterations,
+        stats.full_rebuilds, stats.baseline_reuses,
+    )
+
+
+@pytest.mark.parametrize("case", CASE_NAMES)
+def test_solver_counters_pinned(campaign_results, case):
+    stats = campaign_results[case]["incremental"].stats
+    assert _counters(stats) == _PINNED_COUNTERS[case]
+
+
+def test_grid_solver_counters_pinned():
+    model = build_power_grid_simulink(feeders=4, sections_per_feeder=150)
+    result = FaultInjectionCampaign(
+        model,
+        power_network_reliability(),
+        assume_stable=power_grid_injection_sample(model, k=24, seed=1),
+    ).run()
+    assert result.stats.solver_backend == "auto"
+    assert _counters(result.stats) == _PINNED_COUNTERS["grid"]

@@ -624,3 +624,95 @@ def test_retry_and_failure_metrics_published(case, monkeypatch):
     names = {record.name for record in obs.tracer().records()}
     assert "campaign.job" in names
     assert result.stats.job_failures == 1
+
+
+# -- the batched solve of pending jobs ---------------------------------------
+
+_SOLVER_COUNTERS = (
+    "solves", "smw_solves", "newton_iterations", "full_rebuilds",
+    "baseline_reuses", "direct_solves",
+)
+
+
+def _counters(stats):
+    return {name: getattr(stats, name) for name in _SOLVER_COUNTERS}
+
+
+@pytest.mark.parametrize("backend", [None, "sparse"])
+def test_batch_exception_degrades_to_per_job_solves(
+    case, clean_serial, monkeypatch, backend
+):
+    """If the campaign's batch raises, every job solves alone (a batch of
+    one) in the per-job loop: same rows, same per-fault counters."""
+    from repro.circuit import CompiledSystem
+
+    reference = _campaign(case, solver_backend=backend).run()
+    real = CompiledSystem.solve_replacements
+    batches = []
+
+    def exploding(self, faults):
+        if len(faults) > 1:
+            batches.append(len(faults))
+            raise RuntimeError("batch blew up")
+        return real(self, faults)
+
+    monkeypatch.setattr(CompiledSystem, "solve_replacements", exploding)
+    result = _campaign(case, solver_backend=backend).run()
+    assert batches == [result.stats.jobs]
+    assert result.failures == []
+    assert_rows_identical(clean_serial, result)
+    assert _counters(result.stats) == _counters(reference.stats)
+
+
+def test_poisoned_fault_in_batch_is_exactly_one_failure(
+    case, clean_serial, monkeypatch
+):
+    """A fault whose replacement raises poisons the batch; the jobs then
+    run alone and only that one ends as a JobFailure."""
+    from repro.safety import fmea as fmea_mod
+    from repro.simulink import to_netlist
+
+    model, _ = case
+    campaign = _campaign(case)
+    slots, jobs = campaign._enumerate(
+        to_netlist(model), fmea_mod.FmeaResult(system="", method="injection")
+    )
+    target = jobs[3]
+    real = campaign_mod._behavior_replacement
+
+    def poisoned(netlist, element_name, behavior, params):
+        if (element_name, behavior) == (target.element_name, target.behavior):
+            raise RuntimeError("poisoned replacement")
+        return real(netlist, element_name, behavior, params)
+
+    monkeypatch.setattr(campaign_mod, "_behavior_replacement", poisoned)
+    result = campaign.run()
+    assert [f.index for f in result.failures] == [target.index]
+    assert result.failures[0].exception == "RuntimeError"
+    assert_healthy_rows_match(clean_serial, result)
+
+
+def test_inline_pool_batches_each_chunk_once(case, clean_serial, monkeypatch):
+    """Each pool chunk presolves its jobs as one batch; per-fault counters
+    add up to the serial run's, with nothing double-counted."""
+    from repro.circuit import CompiledSystem
+
+    real = CompiledSystem.solve_replacements
+    batches = []
+
+    def spy(self, faults):
+        if len(faults) > 1:
+            batches.append(len(faults))
+        return real(self, faults)
+
+    monkeypatch.setattr(CompiledSystem, "solve_replacements", spy)
+    state = _install_inline_pool(monkeypatch, lambda index, chunk: False)
+    result = _campaign(case, workers=2).run()
+    assert result.stats.parallel_fallback is False
+    assert len(batches) == 2 and sum(batches) == result.stats.jobs
+    assert_rows_identical(clean_serial, result)
+    parallel, serial = _counters(result.stats), _counters(clean_serial.stats)
+    # One priming baseline per pool instead of the serial run's one.
+    assert parallel["solves"] - state["prime_solves"] == serial["solves"] - 1
+    for name in ("smw_solves", "full_rebuilds", "baseline_reuses"):
+        assert parallel[name] == serial[name], name

@@ -9,10 +9,12 @@ must actually take the full-assembly path.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.circuit import CircuitError, CompiledSystem, dc_operating_point
-from repro.circuit.mna import _MAX_GMIN_RETRIES
+from repro.circuit import mna as mna_mod
+from repro.circuit.mna import _DIRECT_MAX_SIZE, _MAX_GMIN_RETRIES
 from repro.circuit.netlist import Netlist, Resistor, VoltageSource
 
 
@@ -200,3 +202,203 @@ class TestGminRetry:
                 rel_tol=1e-4,
                 abs_tol=1e-6,
             )
+
+
+# -- the low-rank route ----------------------------------------------------
+# ``ladder()`` has 8 unknowns, so under the default backend every fault
+# above takes the dense direct path.  The tests below drive the same fault
+# classes through the batched low-rank route: on the sparse backend, and
+# on the dense backend with the ladder padded past _DIRECT_MAX_SIZE.
+
+#: route id -> (backend, padding sections)
+ROUTES = {"sparse": ("sparse", 0), "dense-large": ("dense", 45)}
+
+
+def padded(netlist: Netlist, sections: int) -> Netlist:
+    """``netlist`` plus a resistive side chain of ``sections`` nodes off
+    ``in`` — more unknowns, same faults."""
+    previous = "in"
+    for k in range(sections):
+        netlist.resistor(f"RS{k}", previous, f"s{k}", 10.0)
+        netlist.resistor(f"RG{k}", f"s{k}", "0", 1e3)
+        previous = f"s{k}"
+    return netlist
+
+
+def route_system(route, netlist):
+    backend, sections = ROUTES[route]
+    netlist = padded(netlist, sections)
+    compiled = CompiledSystem(netlist, backend=backend)
+    compiled.solve()
+    return netlist, compiled
+
+
+def faulty(netlist, name, replacement):
+    if replacement is None:
+        return netlist.without(name)
+    return netlist.with_replacement(name, replacement)
+
+
+LOW_RANK_FAULTS = [
+    ("R2", Resistor("R2", "rail", "0", 1e-3)),  # short
+    ("R2", Resistor("R2", "rail", "0", 150.0)),  # drift
+    ("R2", None),  # open
+    ("D1", None),  # diode open
+    ("V1", VoltageSource("V1", "in", "0", 3.3)),  # source droop
+    ("L1", Resistor("L1", "mid", "rail", 1e-3)),  # inductor short
+]
+
+
+def test_large_dense_ladder_is_past_the_direct_path():
+    _, compiled = route_system("dense-large", ladder())
+    assert compiled.backend == "dense"
+    assert compiled._system.size > _DIRECT_MAX_SIZE
+    assert compiled.stats.direct_solves == 0
+    assert compiled.stats.smw_solves == 1  # the baseline, a batch of one
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("name, replacement", LOW_RANK_FAULTS)
+def test_fault_classes_on_low_rank_route(route, name, replacement):
+    netlist, compiled = route_system(route, ladder())
+    fast = compiled.solve_replacement(name, replacement)
+    assert_solutions_close(
+        fast, dc_operating_point(faulty(netlist, name, replacement))
+    )
+    assert compiled.stats.full_rebuilds == 0
+    assert compiled.stats.direct_solves == 0
+    assert compiled.stats.solves == 2
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_batch_matches_batch_of_one(route):
+    """One batch over every fault class gives each fault the solution and
+    Newton iteration count it gets alone, and the same counters."""
+    netlist, batched = route_system(route, ladder())
+    _, single = route_system(route, ladder())
+    solutions = batched.solve_replacements(LOW_RANK_FAULTS)
+    for (name, replacement), solution in zip(LOW_RANK_FAULTS, solutions):
+        alone = single.solve_replacement(name, replacement)
+        assert solution.iterations == alone.iterations, name
+        assert_solutions_close(solution, alone, tol=1e-10)
+    assert batched.stats.to_dict() == single.stats.to_dict()
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_inductor_open_on_low_rank_route(route):
+    netlist, compiled = route_system(route, ladder())
+    fast = compiled.solve_replacement("L1", None)
+    reference = dc_operating_point(netlist.without("L1"))
+    for node, value in reference.node_voltages.items():
+        assert math.isclose(
+            fast.node_voltages[node], value, rel_tol=1e-6, abs_tol=1e-6
+        ), node
+    assert abs(fast.branch_currents["L1"]) < 1e-9
+    assert compiled.stats.full_rebuilds == 0
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_identity_replacement_reuses_baseline_on_low_rank_route(route):
+    _, compiled = route_system(route, ladder())
+    solutions = compiled.solve_replacements(
+        [("R2", Resistor("R2", "rail", "0", 100.0))] * 2
+    )
+    assert solutions[0] is solutions[1] is compiled.solve()
+    assert compiled.stats.baseline_reuses == 2
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_fallbacks_on_low_rank_route(route):
+    """Orphaning removals, rewired replacements and gmin-only nodes are
+    unsolved in the batch and re-assembled exactly, one rebuild each."""
+    base = ladder()
+    base.resistor("R5", "rail", "end", 50.0)
+    netlist, compiled = route_system(route, base)
+    faults = [("R5", None), ("R2", Resistor("R2", "rail", "dl", 100.0))]
+    assert compiled.solve_replacements(faults) == [None, None]
+    for name, replacement in faults:
+        assert_solutions_close(
+            compiled.solve_replacement(name, replacement),
+            dc_operating_point(faulty(netlist, name, replacement)),
+        )
+    assert compiled.stats.full_rebuilds == 2
+
+    stub = Netlist("stub")
+    stub.voltage_source("V1", "in", "0", 5.0)
+    stub.resistor("R1", "in", "a", 10.0)
+    stub.diode("D1", "a", "b")
+    stub.resistor("R2", "b", "0", 100.0)
+    stub, compiled = route_system(route, stub)
+    fast = compiled.solve_replacement("R1", None)
+    assert compiled.stats.full_rebuilds == 1
+    for node, value in dc_operating_point(stub.without("R1")).node_voltages.items():
+        assert math.isclose(
+            fast.node_voltages[node], value, rel_tol=1e-6, abs_tol=1e-6
+        ), node
+
+
+# -- the batch's failure paths -----------------------------------------------
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_residual_rejected_column_takes_full_rebuild(route, monkeypatch):
+    """A 1e-15 Ω short cancels every digit of the Woodbury correction: its
+    column fails the residual check and leaves the batch, while the other
+    column of the same batch is solved."""
+    hostile = ("R2", Resistor("R2", "rail", "0", 1e-15))
+    drift = ("R3", Resistor("R3", "dl", "0", 150.0))
+    netlist, compiled = route_system(route, ladder())
+    rejected, solved = compiled.solve_replacements([hostile, drift])
+    assert rejected is None and solved is not None
+    assert compiled.stats.full_rebuilds == 0
+    fast = compiled.solve_replacement(*hostile)
+    assert compiled.stats.full_rebuilds == 1
+    assert_solutions_close(fast, dc_operating_point(faulty(netlist, *hostile)))
+    # It is the residual check that rejects it.
+    monkeypatch.setattr(mna_mod, "_SMW_RESIDUAL_TOL", math.inf)
+    _, lax = route_system(route, ladder())
+    assert lax.solve_replacements([hostile])[0] is not None
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_iteration_cap_does_not_delay_other_columns(route, monkeypatch):
+    """Under a tight Newton cap the diode faults that need more passes
+    leave the batch; the others keep their own iteration counts, and each
+    fault ends exactly as it does alone."""
+    faults = [
+        ("R3", Resistor("R3", "dl", "0", 1e-3)),  # moves the diode bias far
+        ("R2", Resistor("R2", "rail", "0", 150.0)),
+        ("D1", None),  # no diode left: one pass
+    ]
+    _, free = route_system(route, ladder())
+    free_counts = [s.iterations for s in free.solve_replacements(faults)]
+    cap = 2
+    assert max(free_counts) > cap >= min(free_counts)
+    # Baselines are solved before the cap applies.
+    _, capped = route_system(route, ladder())
+    alone = [route_system(route, ladder())[1] for _ in faults]
+    monkeypatch.setattr(mna_mod, "_MAX_NEWTON_ITERATIONS", cap)
+    solutions = capped.solve_replacements(faults)
+    for count, solution, fault, single in zip(
+        free_counts, solutions, faults, alone
+    ):
+        if count > cap:
+            assert solution is None
+        else:
+            assert solution.iterations == count
+        assert (single.solve_replacements([fault])[0] is None) == (
+            solution is None
+        )
+    # A capped fault ends as the per-fault path did: full re-assembly,
+    # which hits the same cap and raises.
+    with pytest.raises(CircuitError, match="did not converge"):
+        capped.solve_replacement(*faults[0])
+    assert capped.stats.full_rebuilds == 1
+
+
+def test_singular_capacitance_fails_only_its_column():
+    """A singular stacked system poisons only its own column's weights."""
+    matrices = np.array([[[2.0]], [[0.0]], [[4.0]]])
+    weights = mna_mod._solve_stacked(matrices, np.array([[1.0], [1.0], [2.0]]))
+    assert weights[0, 0] == 0.5 and weights[2, 0] == 0.5
+    assert np.isnan(weights[1, 0])

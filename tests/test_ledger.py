@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
 from repro.casestudies.power_supply import ASSUMED_STABLE
 from repro.obs.ledger import (
+    _VERSION,
     AnalysisLedger,
     LedgerEntry,
     LedgerError,
@@ -14,11 +16,14 @@ from repro.obs.ledger import (
     model_digest,
     record_fmea,
     record_fmeda,
+    record_iteration,
+    record_optimizer,
     reliability_digest,
 )
 from repro.safety import run_simulink_fmea
 from repro.safety.fmeda import run_fmeda
 from repro.safety.mechanisms import Deployment
+from repro.safety.optimizer import DeploymentPlan
 from repro.safety.metrics import asil_from_spfm, spfm
 
 
@@ -237,3 +242,54 @@ class TestRecorders:
         deployments = entry.config["deployments"]
         assert deployments[0]["mechanism"] == "ECC"
         assert not math.isnan(entry.metrics["diagnostic_coverage"])
+
+
+def _legacy_line(entry):
+    """A ledger line as the deep-copying serialisation wrote it (verbatim
+    copy of ``LedgerEntry.to_dict`` before it built its payload shallowly)."""
+    payload = asdict(entry)
+    payload.pop("seq")
+    payload["v"] = _VERSION
+    payload["type"] = "entry"
+    payload["id"] = entry.entry_id
+    payload["digest"] = entry.content_digest
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+class TestLineBytes:
+    """The shallow payload writes exactly the bytes ``asdict`` did."""
+
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_lines_byte_identical_for_every_kind(
+        self, tmp_path, use_index, psu_fmea, psu_simulink, psu_reliability
+    ):
+        ledger = AnalysisLedger(tmp_path / "l.jsonl", use_index=use_index)
+        meta = {
+            "service_cache_key": "k1",
+            "nested": {"list": [1, 2.5, {"deep": (3, "x")}], "none": None},
+        }
+        deployment = Deployment("MC1", "RAM Failure", "ECC", 0.99, 2.0)
+        fmeda = run_fmeda(psu_fmea, [deployment])
+        entries = [
+            _record(ledger, psu_fmea, psu_simulink, psu_reliability,
+                    meta=meta, config={"sensors": ["CS1"], "t": (1, 2)}),
+            record_fmeda(ledger, fmeda, model=psu_simulink,
+                         reliability=psu_reliability, meta=meta),
+            record_optimizer(
+                ledger, DeploymentPlan((deployment,), fmeda.spfm, 2.0),
+                psu_fmea.system, model=psu_simulink,
+                reliability=psu_reliability, meta=meta,
+            ),
+            record_iteration(
+                ledger, psu_fmea, 1, fmeda.spfm, fmeda.asil, [deployment],
+                model_digest_value="m", reliability=psu_reliability,
+                meta={"iteration": {"diff": ["a", "b"]}},
+            ),
+        ]
+        lines = ledger.path.read_bytes().splitlines(keepends=True)
+        assert lines == [_legacy_line(entry) for entry in entries]
+        # Indexed and scanned reads resolve the same ids as the legacy line.
+        for entry in entries:
+            assert ledger.resolve(entry.entry_id).content_digest == (
+                entry.content_digest
+            )
