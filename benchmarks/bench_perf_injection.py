@@ -1,7 +1,7 @@
 """BENCH injection — batched fault-injection engine: naive vs incremental
-vs parallel campaigns, plus the sparse-vs-dense solver backend tier.
+campaigns, plus the sparse-vs-dense solver backend tier.
 
-Times the three execution strategies of
+Times the two solve strategies of
 :class:`repro.safety.campaign.FaultInjectionCampaign` on the paper's
 power-supply case study (Section V) and the synthetic System A/B power
 networks (Section VI scale), checks the strategies produce row-for-row
@@ -16,11 +16,11 @@ and a naive re-assembly run — agree row for row.
 
 Acceptance (full mode):
 
-- the batched engine (best of incremental / parallel) beats naive
-  per-fault re-assembly by >= 3x wall clock on the largest classic case
-  (System B, ~230 injection jobs over ~107 MNA unknowns);
-- incremental and auto-parallel each run at least as fast as naive on
-  *every* classic case (speedup >= 1.0 per case, not just the largest);
+- the incremental (batched) engine beats naive per-fault re-assembly by
+  >= 3x wall clock on the largest classic case (System B, ~230 injection
+  jobs over ~107 MNA unknowns);
+- incremental runs at least as fast as naive on *every* classic case
+  (speedup >= 1.0 per case, not just the largest);
 - the sparse backend beats the dense backend by >= 3x on the grid tier.
 
 Smoke mode (``BENCH_INJECTION_SMOKE=1``): shrinks System B and the grid,
@@ -35,7 +35,7 @@ span/metric log (Chrome trace JSON instead when the path ends in
 Provenance (``BENCH_INJECTION_LEDGER=/path/to/ledger.jsonl``): records
 each case's incremental campaign as an analysis-ledger entry, so the
 nightly CI job can gate on ``same watch-regressions`` — SPFM drops, new
-single-point faults, wall-time regressions and parallel-slower-than-naive
+single-point faults, wall-time regressions and incremental-slower-than-naive
 strategy inversions against the previous night's entries.
 
 ``BENCH_injection.json`` keeps a bounded ``trajectory`` of past runs
@@ -89,10 +89,6 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_injection.json"
 STRATEGIES = (
     ("naive", {"incremental": False}),
     ("incremental", {}),
-    (
-        "parallel",
-        {"workers": max(2, os.cpu_count() or 1), "strategy": "auto"},
-    ),
 )
 
 GRID_BACKENDS = (
@@ -176,12 +172,9 @@ _TRAJECTORY_KEYS = (
     "jobs",
     "naive_s",
     "incremental_s",
-    "parallel_s",
     "dense_s",
     "sparse_s",
     "speedup",
-    "incremental_speedup",
-    "parallel_speedup",
     "sparse_speedup",
 )
 
@@ -231,23 +224,21 @@ def _ledger_record(case, model, reliability, result, timings=None):
     )
 
 
-#: Extra measurement rounds folded in (per case) when a batched strategy
-#: measures slower than naive — the small cases run in ~1.5 ms, where a
+#: Extra measurement rounds folded in (per case) when the incremental
+#: strategy measures slower than naive — the small cases run in ~1.5 ms, where a
 #: single descheduling blip flips the ratio; more minima de-noise it.
 REMEASURE_ROUNDS = 0 if SMOKE else 2
 
 
 def _classic_cases(payload, table):
-    """Time the three classic cases over all execution strategies."""
+    """Time the three classic cases over both solve strategies."""
     for case, model, reliability, stable in build_cases():
         runs = {}
         for label, kwargs in STRATEGIES:
             seconds, result = time_campaign(model, reliability, stable, kwargs)
             runs[label] = (seconds, result)
         for _ in range(REMEASURE_ROUNDS):
-            if max(runs["incremental"][0], runs["parallel"][0]) <= (
-                runs["naive"][0]
-            ):
+            if runs["incremental"][0] <= runs["naive"][0]:
                 break
             for label, kwargs in STRATEGIES:
                 seconds, result = time_campaign(
@@ -256,23 +247,15 @@ def _classic_cases(payload, table):
                 if seconds < runs[label][0]:
                     runs[label] = (seconds, result)
         naive_s = runs["naive"][0]
-        batched_s = min(runs["incremental"][0], runs["parallel"][0])
-        identical = all(
-            rows_identical(runs["naive"][1], runs[label][1])
-            for label in ("incremental", "parallel")
-        )
+        incremental_s = runs["incremental"][0]
+        identical = rows_identical(runs["naive"][1], runs["incremental"][1])
         assert identical, f"{case}: strategies disagree on FMEA rows"
         stats = runs["incremental"][1].stats
         entry = {
             "jobs": stats.jobs,
             "naive_s": round(naive_s, 6),
-            "incremental_s": round(runs["incremental"][0], 6),
-            "parallel_s": round(runs["parallel"][0], 6),
-            "speedup": round(naive_s / batched_s, 3),
-            "incremental_speedup": round(
-                naive_s / runs["incremental"][0], 3
-            ),
-            "parallel_speedup": round(naive_s / runs["parallel"][0], 3),
+            "incremental_s": round(incremental_s, 6),
+            "speedup": round(naive_s / incremental_s, 3),
             "rows_identical": identical,
             "incremental_stats": stats.as_dict(),
         }
@@ -292,9 +275,8 @@ def _classic_cases(payload, table):
                 "Case": case,
                 "Jobs": stats.jobs,
                 "Naive(s)": f"{naive_s:.3f}",
-                "Incr(s)": f"{runs['incremental'][0]:.3f}",
-                "Par(s)": f"{runs['parallel'][0]:.3f}",
-                "Speedup": f"{naive_s / batched_s:.2f}x",
+                "Incr(s)": f"{incremental_s:.3f}",
+                "Speedup": f"{naive_s / incremental_s:.2f}x",
                 "SMW": stats.smw_solves,
                 "Rebuilds": stats.full_rebuilds,
             }
@@ -399,11 +381,7 @@ def test_bench_injection():
         or (
             largest["speedup"] >= SPEEDUP_TARGET
             and grid["sparse_speedup"] >= SPARSE_SPEEDUP_TARGET
-            and all(
-                entry["incremental_speedup"] >= 1.0
-                and entry["parallel_speedup"] >= 1.0
-                for entry in classic.values()
-            )
+            and all(entry["speedup"] >= 1.0 for entry in classic.values())
         )
     )
     payload["trajectory"] = _extended_trajectory(payload)
@@ -412,7 +390,7 @@ def test_bench_injection():
     )
     report_table(
         "BENCH injection",
-        "naive vs incremental vs parallel fault-injection campaigns",
+        "naive vs incremental fault-injection campaigns",
         format_rows(table),
     )
 
@@ -427,7 +405,7 @@ def test_bench_injection():
 
     if not SMOKE:
         assert largest["speedup"] >= SPEEDUP_TARGET, (
-            "batched engine must beat naive re-assembly by "
+            "incremental engine must beat naive re-assembly by "
             f">= {SPEEDUP_TARGET}x on System B, got {largest['speedup']}x"
         )
         assert grid["sparse_speedup"] >= SPARSE_SPEEDUP_TARGET, (
@@ -436,11 +414,7 @@ def test_bench_injection():
             f"got {grid['sparse_speedup']}x"
         )
         for case, entry in classic.items():
-            assert entry["incremental_speedup"] >= 1.0, (
+            assert entry["speedup"] >= 1.0, (
                 f"{case}: incremental slower than naive "
-                f"({entry['incremental_speedup']}x)"
-            )
-            assert entry["parallel_speedup"] >= 1.0, (
-                f"{case}: auto-parallel slower than naive "
-                f"({entry['parallel_speedup']}x)"
+                f"({entry['speedup']}x)"
             )

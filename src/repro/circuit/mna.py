@@ -493,10 +493,6 @@ class SolveStats:
     direct_solves: int = 0  # small-system faults solved by direct delta-stamp
     batched_columns: int = 0  # RHS columns solved through multi-RHS blocks
 
-    def merge(self, other: "SolveStats") -> None:
-        for name, value in other.to_dict().items():
-            setattr(self, name, getattr(self, name) + value)
-
     def to_dict(self) -> Dict[str, int]:
         return asdict(self)
 

@@ -59,7 +59,7 @@ def _obs_begin(args: argparse.Namespace) -> dict:
 
     Whenever any plane is armed, the invocation also mints a correlation
     id and installs it process-wide, so every span, event and log record
-    the run produces — pool workers included — carries the same id.
+    the run produces carries the same id.
     """
     session: dict = {}
     serve = getattr(args, "serve", None)
@@ -692,8 +692,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 def _add_search_strategy_argument(parser: argparse.ArgumentParser) -> None:
     """Optimizer-backend flag for the mechanism-search verbs.
 
-    Named ``--search-strategy`` because ``--strategy`` already selects the
-    injection-campaign execution mode on the same commands.
+    Named ``--search-strategy`` so the flag says which search it steers.
     """
     parser.add_argument(
         "--search-strategy",
@@ -707,22 +706,7 @@ def _add_search_strategy_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    """Fault-tolerance / execution flags shared by the campaign commands."""
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers for the injection campaign (default 1)",
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=["fixed", "serial", "auto"],
-        default="fixed",
-        help="execution strategy: 'fixed' uses --workers as given, "
-        "'serial' forces one worker, 'auto' picks serial incremental "
-        "execution below the measured parallel break-even job count "
-        "and fans out above it",
-    )
+    """Fault-tolerance / solver flags shared by the campaign commands."""
     parser.add_argument(
         "--solver-backend",
         choices=["auto", "dense", "sparse"],
@@ -753,14 +737,12 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         "--max-retries",
         type=int,
         default=2,
-        help="retry budget for transient job/worker failures (default 2)",
+        help="retry budget for transient job failures (default 2)",
     )
 
 
 def _campaign_kwargs(args: argparse.Namespace) -> dict:
     return {
-        "workers": getattr(args, "workers", 1),
-        "strategy": getattr(args, "strategy", "fixed"),
         "solver_backend": getattr(args, "solver_backend", None),
         "max_retries": getattr(args, "max_retries", 2),
         "job_timeout": getattr(args, "job_timeout", None),

@@ -2,12 +2,11 @@
 
 Spans and metrics answer "what happened" after a run; the bus answers
 "what is happening" *during* one.  It stores two kinds of record in one
-bounded ring, with one sequence counter, one correlation-id index, one
-lock and one worker drain/ingest path:
+bounded ring, with one sequence counter, one correlation-id index and one
+lock:
 
 - **progress events**, emitted through :func:`repro.obs.emit_event` by the
-  campaign engine, the warm worker pool, the recovery ladder and the
-  DECISIVE loop;
+  campaign engine, the retry loop, the checkpoint and the DECISIVE loop;
 - **log records** (an :class:`Event` whose ``level`` is set), emitted
   through :func:`repro.obs.log` — leveled narrative for service operators.
 
@@ -17,15 +16,10 @@ record: the flushed **JSONL sink** (:meth:`EventBus.attach_jsonl`,
 ``--progress``) and **queue subscribers** (:meth:`EventBus.subscribe`,
 the ``/events`` SSE stream with ``?since=SEQ`` replay).  The **log view**
 (:meth:`EventBus.logs` / :meth:`EventBus.write_logs`, ``--logs`` and the
-per-job ``service-log`` artifact) never sees a progress event.  **Worker
-draining** (:meth:`EventBus.drain_dicts` / :meth:`EventBus.ingest`) ships
-both kinds out of pool workers on the per-chunk delta path of spans and
-metrics, re-sequenced deterministically on the parent (chunk-submission
-order), preserving origin pid/timestamp/correlation id.
+per-job ``service-log`` artifact) never sees a progress event.
 
 The event taxonomy (see ``docs/observability.md`` for the payload schema):
 ``campaign_started``, ``chunk_completed``, ``job_retried``,
-``pool_worker_lost``, ``pool_acquired``, ``worker_heartbeat``,
 ``checkpoint_written``, ``campaign_finished``, ``iteration_finished``.
 
 Everything here is dependency-free and lock-protected; with the bus
@@ -70,8 +64,8 @@ class Event:
     """One record on the bus: a typed progress event, or a log record.
 
     ``cid`` is the correlation id of the job/invocation the record belongs
-    to (``None`` for uncorrelated emitters); it survives the worker
-    drain/ingest round-trip so per-job streams include pool-worker records.
+    to (``None`` for uncorrelated emitters); it survives the
+    :meth:`to_dict` / :meth:`from_dict` round-trip.
     A log record has ``type == "log"``, a ``level`` (one of
     :data:`LEVELS`) and a ``message``; its ``payload`` holds its fields.
     """
@@ -139,8 +133,7 @@ class EventBus:
     """Thread-safe store and fan-out of progress events and log records.
 
     A single bus instance lives per process (module singleton in
-    ``repro.obs``); pool workers emit into their own process-local bus and
-    the parent re-sequences their drained records with :meth:`ingest`.
+    ``repro.obs``).
     """
 
     def __init__(self, buffer: int = DEFAULT_BUFFER) -> None:
@@ -384,37 +377,6 @@ class EventBus:
                 pass
         return path
 
-    # -- worker shipping ---------------------------------------------------
-
-    def drain_dicts(self) -> List[Dict[str, object]]:
-        """Worker side: pop buffered events and log records as picklable
-        dicts, in emission order.
-
-        Like :func:`repro.obs.drain_worker_data`, draining clears the
-        buffer — a warm-pool worker hands each chunk's records to the
-        parent exactly once, never its cumulative history."""
-        with self._lock:
-            records = [event.to_dict() for event in self._buffer]
-            self._buffer.clear()
-            self._by_cid.clear()
-        return records
-
-    def ingest(self, records: List[Mapping[str, object]]) -> List[Event]:
-        """Parent side: re-publish drained worker records in order.
-
-        Sequence numbers are reallocated on this bus (worker-local seqs are
-        meaningless across processes); origin ``ts``, ``pid`` and ``cid``
-        are kept, so heartbeats still identify which worker they came from
-        and per-job streams include worker-side records."""
-        merged: List[Event] = []
-        for data in records:
-            try:
-                event = Event.from_dict(data)
-            except (KeyError, TypeError, ValueError):
-                continue
-            merged.append(self._publish(event))
-        return merged
-
     # -- views ---------------------------------------------------------------
 
     def _view(self, since: int, cid: Optional[str]) -> Iterator[Event]:
@@ -493,18 +455,17 @@ class ConsoleProgress:
     """An :class:`EventBus` callback rendering progress lines to a stream.
 
     ``chunk_completed`` lines are throttled (default two per second) except
-    for the final one; heartbeats are skipped entirely.  Attach with
+    for the final one.  Attach with
     ``bus.add_callback(ConsoleProgress())``; the CLI wires this behind
     ``--progress``.
     """
 
-    #: Event types rendered; anything else (heartbeats, pool chatter) is
+    #: Event types rendered; anything else (e.g. service job lifecycle) is
     #: visible in the JSONL stream / SSE feed but too noisy for a console.
     RENDERED = (
         "campaign_started",
         "chunk_completed",
         "job_retried",
-        "pool_worker_lost",
         "checkpoint_written",
         "campaign_finished",
         "iteration_finished",
@@ -546,10 +507,9 @@ class ConsoleProgress:
             self._chunks_seen = 0
             self._write(
                 "campaign started: system={system} analysis={analysis} "
-                "jobs={jobs} workers={workers} strategy={strategy}".format(
+                "jobs={jobs}".format(
                     system=p.get("system"), analysis=p.get("analysis"),
-                    jobs=p.get("jobs"), workers=p.get("workers"),
-                    strategy=p.get("strategy"),
+                    jobs=p.get("jobs"),
                 )
             )
         elif event.type == "campaign_finished":
@@ -572,13 +532,6 @@ class ConsoleProgress:
                 "retry job={job} attempt={attempt} error={error}".format(
                     job=p.get("job"), attempt=p.get("attempt"),
                     error=p.get("error"),
-                )
-            )
-        elif event.type == "pool_worker_lost":
-            self._write(
-                "worker lost: chunk={chunk} jobs={jobs} attempt={attempt}".format(
-                    chunk=p.get("chunk"), jobs=p.get("jobs"),
-                    attempt=p.get("attempt"),
                 )
             )
         elif event.type == "checkpoint_written":

@@ -10,10 +10,6 @@ spans nest, forming a tree per campaign / analysis run.  Design points:
 - **thread safety** — the active-span stack is thread-local, so spans
   started on different threads nest independently; finished records are
   appended under a lock;
-- **process safety** — worker processes trace into their own tracer and
-  ship finished records back as plain dicts; :meth:`Tracer.ingest` remaps
-  span ids and re-parents the worker roots deterministically, so a merged
-  trace is identical run-to-run for a fixed chunking;
 - **zero cost when disabled** — callers go through :func:`repro.obs.span`,
   which returns the module-level :data:`NOOP_SPAN` singleton without
   touching this module's machinery at all;
@@ -28,7 +24,7 @@ import itertools
 import os
 import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional
 
 #: This process's pid and wall-minus-monotonic clock offset, refreshed in a
 #: forked child; spans read them instead of calling ``os.getpid()`` and
@@ -240,8 +236,8 @@ class Tracer:
         #: Optional zero-arg callable returning the ambient correlation id
         #: (``repro.obs`` wires its correlation context here).  When set and
         #: returning a value, spans carry a ``correlation_id`` attribute —
-        #: stored in ``attrs``, so it survives the worker drain/ingest
-        #: re-sequencing like any other attribute.
+        #: stored in ``attrs``, so every exporter sees it like any other
+        #: attribute.
         self.cid_provider: Optional[Callable[[], Optional[str]]] = None
 
     # -- the thread-local active-span stack -------------------------------
@@ -262,55 +258,13 @@ class Tracer:
     def span(self, name: str, attrs: Optional[Dict[str, object]] = None) -> Span:
         return Span(self, name, {} if attrs is None else attrs)
 
-    # -- access / merge ---------------------------------------------------
+    # -- access ------------------------------------------------------------
 
     def records(self) -> List[SpanRecord]:
         """A snapshot of the finished spans (finish order)."""
         with self._lock:
             return list(self._records)
 
-    def drain(self) -> List[SpanRecord]:
-        """Pop and return all finished spans (e.g. from a pool worker)."""
-        with self._lock:
-            records, self._records = self._records, []
-            return records
-
     def clear(self) -> None:
         with self._lock:
             self._records = []
-
-    def ingest(
-        self,
-        records: Sequence[SpanRecord],
-        parent_id: Optional[int] = None,
-    ) -> List[SpanRecord]:
-        """Merge spans recorded elsewhere (a pool worker) into this tracer.
-
-        Ids are remapped onto this tracer's id space (preserving the given
-        order, so the merge is deterministic for a fixed chunk order) and
-        parentless spans are re-parented under ``parent_id``.
-        """
-        with self._lock:
-            mapping: Dict[int, int] = {}
-            for record in records:
-                mapping[record.span_id] = next(self._ids)
-            merged: List[SpanRecord] = []
-            for record in records:
-                clone = SpanRecord(
-                    span_id=mapping[record.span_id],
-                    parent_id=(
-                        mapping.get(record.parent_id, parent_id)
-                        if record.parent_id is not None
-                        else parent_id
-                    ),
-                    name=record.name,
-                    start_ns=record.start_ns,
-                    end_ns=record.end_ns,
-                    epoch_ns=record.epoch_ns,
-                    attrs=dict(record.attrs),
-                    pid=record.pid,
-                    thread=record.thread,
-                )
-                merged.append(clone)
-                self._records.append(clone)
-            return merged

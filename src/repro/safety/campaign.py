@@ -8,11 +8,10 @@ This module turns that loop into a campaign:
 2. every injection is enumerated up front as an :class:`InjectionJob`;
 3. jobs execute against a single :class:`~repro.circuit.CompiledSystem`
    (cached LU + low-rank updates, all pending jobs solved as one batch,
-   exact full-assembly fallback per job), either serially or fanned out
-   over a process pool with deterministic row ordering;
+   exact full-assembly fallback per job);
 4. rows are classified in enumeration order, so the resulting
    :class:`~repro.safety.fmea.FmeaResult` is row-for-row identical to the
-   historical per-mode re-solve, whatever the execution strategy.
+   historical per-mode re-solve.
 
 Per-campaign instrumentation (job counts, solve mix, factorization reuses,
 wall time) is attached to the result as :class:`CampaignStats` — the raw
@@ -21,15 +20,14 @@ material for the paper's Table V/VI efficiency story.
 Execution is fault tolerant (see :mod:`repro.safety.resilience`): a job
 that raises records a structured :class:`~repro.safety.resilience.JobFailure`
 row instead of aborting the campaign, transient failures are retried with
-exponential backoff, a dead pool worker costs only its chunk (resubmitted
-to a fresh pool, with the offending job bisected out after ``max_retries``),
-and a ``checkpoint`` file lets ``resume`` skip already-completed jobs.
+exponential backoff, a ``job_timeout`` cuts off runaway solves, and a
+``checkpoint`` file lets ``resume`` skip already-completed jobs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -41,10 +39,8 @@ from repro.circuit import (
     SolveStats,
     default_backend,
     set_default_backend,
-    system_size,
 )
 from repro.circuit.netlist import Netlist
-from repro.safety import pool as _warm_pool
 from repro.reliability import ReliabilityModel
 from repro.safety.fmea import (
     DEFAULT_MIN_ABSOLUTE_DELTA,
@@ -71,28 +67,9 @@ from repro.safety.resilience import (
 from repro.simulink import FailureBehavior, SimulinkError, SimulinkModel, to_netlist
 from repro.simulink.electrical import ElectricalConversion
 
-#: Serial campaigns flush the checkpoint every this many completed jobs.
+#: Campaigns flush the checkpoint (and tick progress) every this many
+#: completed jobs.
 _CHECKPOINT_EVERY = 25
-
-#: ``strategy="auto"`` fans out only at or above this many pending jobs.
-#: Benchmarks (BENCH_injection.json) put parallel execution at 0.39–0.43x
-#: of the incremental serial solve for 9–30-job campaigns — pool start-up
-#: and conversion pickling dwarf the solves — while 200+-job campaigns see
-#: 3–4x.  The break-even sits well above small demo models, so `auto`
-#: stays serial until the fan-out can plausibly amortise its fixed cost.
-AUTO_PARALLEL_MIN_JOBS = 64
-
-#: ``auto`` also fans out *below* :data:`AUTO_PARALLEL_MIN_JOBS` when the
-#: per-job solve itself is heavy.  A factorized solve costs ~O(size²) per
-#: RHS, so ``jobs * size**2`` estimates total campaign work; above this
-#: budget the solves dominate pool start-up even for a handful of jobs
-#: (e.g. a 60-job campaign on a ~2500-unknown grid).  Small demo models
-#: (size < ~50) can never reach it with fewer than 64 jobs.
-AUTO_PARALLEL_MIN_COST = 1e8
-
-#: Cost-based fan-out still needs enough jobs to share between workers.
-_AUTO_COST_MIN_JOBS = 4
-
 
 @dataclass(frozen=True)
 class InjectionJob:
@@ -112,13 +89,9 @@ class CampaignStats:
 
     jobs: int = 0  # injection simulations requested
     rows: int = 0  # FMEA rows produced (jobs + uninjectable warnings)
-    workers: int = 1  # workers actually used (1 after a parallel fallback)
-    requested_workers: int = 1  # workers the caller asked for
     mode: str = "incremental"  # 'incremental' | 'naive'
-    strategy: str = "fixed"  # 'fixed' | 'serial' | 'auto'
     analysis: str = "dc"
     solver_backend: str = "auto"  # requested backend spec ('auto' if unset)
-    pool_reused: bool = False  # warm worker pool reused from a prior campaign
     wall_time: float = 0.0  # whole campaign, seconds
     baseline_time: float = 0.0  # healthy solve, seconds
     solves: int = 0
@@ -129,8 +102,7 @@ class CampaignStats:
     baseline_reuses: int = 0
     direct_solves: int = 0  # small-system dense-direct fault solves
     batched_columns: int = 0  # SMW columns solved as multi-RHS blocks
-    parallel_fallback: bool = False  # pool unavailable; ran serially
-    retries: int = 0  # transient-failure retries (job- and chunk-level)
+    retries: int = 0  # transient-failure retries
     timeouts: int = 0  # jobs killed by the per-job wall-clock budget
     job_failures: int = 0  # jobs that ended as structured JobFailure rows
     resumed_jobs: int = 0  # jobs skipped because a checkpoint had them
@@ -173,11 +145,6 @@ class CampaignStats:
             obs.counter(f"campaign_{name}").inc(getattr(self, name))
         obs.gauge("campaign_wall_seconds").set(self.wall_time)
         obs.gauge("campaign_baseline_seconds").set(self.baseline_time)
-        obs.gauge("campaign_workers").set(self.workers)
-        obs.gauge("campaign_requested_workers").set(self.requested_workers)
-        obs.gauge("campaign_pool_reuse").set(1.0 if self.pool_reused else 0.0)
-        if self.parallel_fallback:
-            obs.counter("campaign_parallel_fallbacks").inc()
 
 
 #: Job outcome: ('ok', readings), ('error', message) — a circuit-level
@@ -232,23 +199,28 @@ def _presolve(
     conversion: ElectricalConversion,
     compiled: Optional[CompiledSystem],
     jobs: Sequence[InjectionJob],
+    job_timeout: Optional[float],
 ) -> Optional[_Presolved]:
     """Solve the jobs as one :meth:`CompiledSystem.solve_replacements`
     batch; each solved job's readings come straight off the batch's block.
 
     Jobs the batch leaves unsolved (topology changes, failed checks) get no
-    outcome and solve alone in the per-job loop; if the batch itself
-    raises, no job does, so each succeeds or fails on its own inside
-    :func:`_run_job_isolated`.
+    outcome and solve alone in the per-job loop.  If the batch raises, or
+    overruns the sum of the per-job budgets (``job_timeout`` per job), no
+    job does: its solver counters are rolled back and each job succeeds or
+    fails on its own inside :func:`_run_job_isolated`.
     """
     if compiled is None:
         return None
     shared = _Presolved(compiled, {})
+    counted = replace(compiled.stats)
     try:
         faults = [(job.element_name, _job_replacement(conversion, job))
                   for job in jobs]
-        solutions = compiled.solve_replacements(faults)
+        with job_deadline(job_timeout * len(jobs) if job_timeout else None):
+            solutions = compiled.solve_replacements(faults)
     except Exception:  # noqa: BLE001 — every job then solves on its own
+        compiled.stats = counted
         return shared
     for job, (_, replacement), solution in zip(jobs, faults, solutions):
         if solution is not None:
@@ -275,10 +247,10 @@ def _dc_outcome(
 
 
 def _observe_job_times(walls: Sequence[float], seconds: Sequence[float]) -> None:
-    """Feed the per-job histograms one batch per progress tick or pool
-    chunk: a registry lookup plus a locked observe per job would cost as
-    much as the job's span.  Callers batch before the tick's progress
-    event, so a ``/metrics`` scrape it triggers sees every finished job."""
+    """Feed the per-job histograms one batch per progress tick: a registry
+    lookup plus a locked observe per job would cost as much as the job's
+    span.  Callers batch before the tick's progress event, so a
+    ``/metrics`` scrape it triggers sees every finished job."""
     if not obs.enabled():
         return
     if walls:
@@ -297,9 +269,7 @@ def _execute_job(
 ) -> _Outcome:
     """Run one injection; never raises for circuit-level failures.
 
-    With observability enabled, each execution is a ``campaign.job`` span
-    (created in whichever process runs the job — the parent merges worker
-    spans afterwards).
+    With observability enabled, each execution is a ``campaign.job`` span.
     """
     if not obs.enabled():
         return _execute_job_impl(conversion, shared, job, analysis, t_stop, dt)
@@ -369,8 +339,7 @@ def _run_job_isolated(
     can aggregate counters — the end-to-end per-job wall time (all
     attempts plus backoff sleeps, feeding ``campaign_job_wall_seconds``
     and the ``--stats`` percentiles) and the execution time of the attempt
-    that returned (``campaign_job_seconds``; ``None`` when no attempt did)
-    — across process boundaries.
+    that returned (``campaign_job_seconds``; ``None`` when no attempt did).
     """
     started = time.perf_counter()
     outcome, retries, timeouts, seconds = _attempt_job(
@@ -450,128 +419,6 @@ def _primed_system(
     return compiled
 
 
-# -- process-pool plumbing ---------------------------------------------------
-# Workers receive the conversion once (initializer) and then process chunks
-# of jobs, each against its own CompiledSystem, so factorization reuse
-# happens inside every worker too.
-
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _campaign_worker_init(
-    conversion: ElectricalConversion,
-    analysis: str,
-    t_stop: float,
-    dt: float,
-    incremental: bool,
-    trace_enabled: bool = False,
-    policy: RetryPolicy = RetryPolicy(),
-    job_timeout: Optional[float] = None,
-    solver_backend: Optional[str] = None,
-    events_enabled: bool = False,
-    correlation_id: Optional[str] = None,
-) -> None:
-    if trace_enabled:
-        # Trace in the worker too; start from a clean slate (a fork start
-        # method copies the parent's already-recorded spans).
-        obs.enable()
-    if events_enabled:
-        # The record bus switches independently of tracing (a --progress
-        # run without --trace still needs worker heartbeats and logs).
-        obs.enable_events()
-    if trace_enabled or events_enabled:
-        obs.reset()
-    # After reset (which clears the correlation context): a worker process
-    # serves exactly one campaign configuration, so the job's id is its
-    # process-global default — every worker-side event/span/log carries it
-    # home through the drain/ingest delta path.
-    obs.set_correlation_id(correlation_id)
-    if solver_backend is not None:
-        # Campaign-wide backend: the naive/transient paths solve through
-        # module-level functions that read the process default, and this
-        # worker process exists only to serve this campaign configuration
-        # (the warm-pool token includes the backend).
-        set_default_backend(solver_backend)
-    _WORKER_STATE["conversion"] = conversion
-    _WORKER_STATE["analysis"] = analysis
-    _WORKER_STATE["t_stop"] = t_stop
-    _WORKER_STATE["dt"] = dt
-    _WORKER_STATE["policy"] = policy
-    _WORKER_STATE["job_timeout"] = job_timeout
-    compiled = None
-    if incremental and analysis == "dc":
-        compiled = _primed_system(conversion.netlist, backend=solver_backend)
-    _WORKER_STATE["compiled"] = compiled
-
-
-def _campaign_worker_chunk(
-    chunk: Sequence[InjectionJob],
-) -> Tuple[
-    List[Tuple[int, _Outcome]],
-    SolveStats,
-    Dict[str, int],
-    Optional[Dict[str, object]],
-]:
-    conversion: ElectricalConversion = _WORKER_STATE["conversion"]
-    compiled: Optional[CompiledSystem] = _WORKER_STATE["compiled"]
-    analysis: str = _WORKER_STATE["analysis"]
-    t_stop: float = _WORKER_STATE["t_stop"]
-    dt: float = _WORKER_STATE["dt"]
-    policy: RetryPolicy = _WORKER_STATE.get("policy", RetryPolicy())
-    job_timeout: Optional[float] = _WORKER_STATE.get("job_timeout")
-    results: List[Tuple[int, _Outcome]] = []
-    job_wall_times: List[float] = []
-    job_seconds: List[float] = []
-    extras: Dict[str, object] = {
-        "retries": 0, "timeouts": 0, "job_wall_times": job_wall_times,
-        "job_seconds": job_seconds,
-    }
-    # One heartbeat per chunk: the event's pid identifies this worker, so
-    # the parent (and /events subscribers) can see which warm-pool workers
-    # are actually serving — it rides home in the drained payload below.
-    obs.emit_event("worker_heartbeat", chunk_jobs=len(chunk))
-    shared = _presolve(conversion, compiled, chunk)
-    for job in chunk:
-        outcome, retries, timeouts, wall, seconds = _run_job_isolated(
-            conversion, shared, job, analysis, t_stop, dt,
-            policy, job_timeout,
-        )
-        extras["retries"] += retries  # type: ignore[operator]
-        extras["timeouts"] += timeouts  # type: ignore[operator]
-        job_wall_times.append(wall)
-        if seconds is not None:
-            job_seconds.append(seconds)
-        results.append((job.index, outcome))
-    # Report this chunk's *delta*, not the worker's cumulative counters: a
-    # worker serving several chunks would otherwise double-count earlier
-    # chunks in the parent's aggregate.
-    stats = SolveStats()
-    if compiled is not None:
-        stats.merge(compiled.stats)
-        compiled.stats = SolveStats()
-    return results, stats, extras, obs.drain_worker_data()
-
-
-class _ParallelUnavailable(RuntimeError):
-    """Internal: the pool layer gave up; ``completed`` holds the outcomes
-    it did produce (their solver stats and spans are already merged), so
-    the serial fallback only needs to run the remainder."""
-
-    def __init__(self, completed: Dict[int, _Outcome], cause: BaseException):
-        super().__init__(str(cause))
-        self.completed = completed
-
-
-@dataclass(frozen=True)
-class _ChunkTask:
-    """One pool submission: ``order`` keeps trace merging deterministic
-    across retries and bisections ((2,) splits into (2, 0) and (2, 1))."""
-
-    order: Tuple[int, ...]
-    jobs: Tuple[InjectionJob, ...]
-    attempt: int = 0
-
-
 class FaultInjectionCampaign:
     """A batched automated FMEA by fault injection on a Simulink model.
 
@@ -582,40 +429,24 @@ class FaultInjectionCampaign:
         low-rank updates) instead of per-mode full re-assembly.  Results
         are identical either way — topology-changing faults transparently
         fall back to full assembly;
-    workers:
-        number of worker processes.  ``0``/``1`` runs serially; ``N > 1``
-        fans jobs out over a process pool.  Row order is deterministic
-        (enumeration order) regardless of completion order.  When a pool
-        cannot be created (restricted environments) the campaign degrades
-        to serial execution and flags ``stats.parallel_fallback``;
-    strategy:
-        how the worker count is chosen.  ``"fixed"`` (default) uses
-        ``workers`` exactly as given; ``"serial"`` forces one worker;
-        ``"auto"`` runs the incremental serial solver below a measured
-        crossover — :data:`AUTO_PARALLEL_MIN_JOBS` pending jobs, *or*
-        fewer jobs whose estimated solve work ``jobs * size**2`` exceeds
-        :data:`AUTO_PARALLEL_MIN_COST` (large MNA systems amortise pool
-        start-up with far fewer jobs than demo-sized ones) — and fans
-        out above it (using ``workers`` when > 1, else one worker per
-        CPU, capped by the job count).  The decision is recorded in
-        ``stats.strategy`` and ``stats.workers``;
     solver_backend:
         linear-solver engine for every MNA solve in the campaign
-        (baseline, incremental fault solves, workers): ``"dense"``
-        (LAPACK LU), ``"sparse"`` (CSC + SuperLU) or ``"auto"``
-        (size-based pick).  ``None`` defers to the process default;
+        (baseline and fault solves): ``"dense"`` (LAPACK LU), ``"sparse"``
+        (CSC + SuperLU) or ``"auto"`` (size-based pick).  ``None`` defers
+        to the process default;
     max_retries:
-        bounded retry budget for transient failures — both job-level
-        (numerical rejections) and chunk-level (a pool worker dying takes
-        only its chunk, which is resubmitted to a fresh pool; after the
-        budget is spent the chunk is bisected until the poisoned job is
-        isolated and recorded as a :class:`JobFailure`);
+        bounded retry budget for transient job failures (numerical
+        rejections); a job that exhausts it is recorded as a
+        :class:`JobFailure`;
     retry_backoff:
         base delay (seconds) of the exponential backoff between retries;
     job_timeout:
         per-job wall-clock budget in seconds (``None``: unlimited).  A
         runaway solve is cut off and recorded as a timeout
-        :class:`JobFailure` instead of hanging the campaign;
+        :class:`JobFailure` instead of hanging the campaign; the batched
+        presolve of the pending jobs gets the sum of their budgets.  The
+        budget is armed only on a process's main thread (it uses
+        ``SIGALRM``);
     checkpoint:
         path of a JSONL file where completed job outcomes are persisted
         (keyed by a content hash of the model + reliability data, so stale
@@ -641,8 +472,6 @@ class FaultInjectionCampaign:
         t_stop: float = 5e-3,
         dt: float = 5e-5,
         incremental: bool = True,
-        workers: int = 1,
-        strategy: str = "fixed",
         max_retries: int = 2,
         retry_backoff: float = 0.05,
         job_timeout: Optional[float] = None,
@@ -654,11 +483,6 @@ class FaultInjectionCampaign:
         if analysis not in ("dc", "transient"):
             raise FmeaError(
                 f"analysis must be 'dc' or 'transient', got {analysis!r}"
-            )
-        if strategy not in ("fixed", "serial", "auto"):
-            raise FmeaError(
-                f"strategy must be 'fixed', 'serial' or 'auto', "
-                f"got {strategy!r}"
             )
         if job_timeout is not None and job_timeout <= 0:
             raise FmeaError(
@@ -682,8 +506,6 @@ class FaultInjectionCampaign:
         self.t_stop = t_stop
         self.dt = dt
         self.incremental = incremental
-        self.workers = max(1, int(workers))
-        self.strategy = strategy
         self.retry_policy = RetryPolicy(
             max_retries=max(0, int(max_retries)), backoff=retry_backoff
         )
@@ -691,13 +513,11 @@ class FaultInjectionCampaign:
         self.checkpoint = checkpoint
         self.resume = resume
         self.solver_backend = solver_backend
-        #: Correlation id scoped over the whole run (events, spans, logs,
-        #: pool workers).  ``None`` inherits whatever ambient id the caller
-        #: installed (the service wraps ``run()`` in its job's id anyway).
+        #: Correlation id scoped over the whole run (events, spans, logs).
+        #: ``None`` inherits whatever ambient id the caller installed (the
+        #: service wraps ``run()`` in its job's id anyway).
         self.correlation_id = correlation_id
-        self._pool_reused = False
         self._fingerprint: Optional[str] = None
-        self._shared_compiled: Optional[CompiledSystem] = None
         self._job_wall_times: List[float] = []
         self._progress_total = 0
         self._progress_done = 0
@@ -709,9 +529,9 @@ class FaultInjectionCampaign:
     def _short_fingerprint(self) -> str:
         """The campaign fingerprint truncated for event payloads — enough
         to key `/healthz` per-campaign progress, cheap to repeat."""
-        return self._campaign_token()[:16]
+        return self._run_fingerprint()[:16]
 
-    def _emit_progress(self, newly_done: int, chunk: Optional[str] = None) -> None:
+    def _emit_progress(self, newly_done: int) -> None:
         """One ``chunk_completed`` event advancing the done counter.
 
         The ETA extrapolates the measured per-job wall time of the jobs
@@ -731,15 +551,13 @@ class FaultInjectionCampaign:
             eta = elapsed / executed * remaining
         else:
             eta = None  # nothing executed yet: no rate to extrapolate
-        payload: Dict[str, object] = {
-            "done": self._progress_done,
-            "total": self._progress_total,
-            "eta_seconds": eta,
-            "fingerprint": self._short_fingerprint(),
-        }
-        if chunk is not None:
-            payload["chunk"] = chunk
-        obs.emit_event("chunk_completed", **payload)
+        obs.emit_event(
+            "chunk_completed",
+            done=self._progress_done,
+            total=self._progress_total,
+            eta_seconds=eta,
+            fingerprint=self._short_fingerprint(),
+        )
 
     # -- enumeration ------------------------------------------------------
 
@@ -815,16 +633,17 @@ class FaultInjectionCampaign:
     def _execute_serial(
         self,
         conversion: ElectricalConversion,
+        compiled: Optional[CompiledSystem],
         jobs: Sequence[InjectionJob],
         stats: CampaignStats,
-        checkpoint: Optional[CampaignCheckpoint] = None,
+        checkpoint: Optional[CampaignCheckpoint],
     ) -> Dict[int, _Outcome]:
-        compiled = None
-        if self.incremental and self.analysis == "dc":
-            compiled = self._shared_compiled or _primed_system(
-                conversion.netlist, backend=self.solver_backend
-            )
-        shared = _presolve(conversion, compiled, jobs)
+        """Run the pending jobs: one batched presolve through ``compiled``
+        (``None`` on the naive and transient paths), then each job in
+        enumeration order under the per-job isolation contract."""
+        if not jobs:
+            return {}
+        shared = _presolve(conversion, compiled, jobs, self.job_timeout)
         outcomes: Dict[int, _Outcome] = {}
         emitted_at = 0
         job_seconds: List[float] = []  # since the last progress tick
@@ -841,11 +660,12 @@ class FaultInjectionCampaign:
             outcomes[job.index] = outcome
             if checkpoint is not None:
                 checkpoint.record(job, outcome)
-                if position % _CHECKPOINT_EVERY == 0:
-                    checkpoint.flush()
             if position % _CHECKPOINT_EVERY == 0 or position == len(jobs):
-                # Serial progress ticks at checkpoint granularity — cheap
-                # enough to stay in the loop, frequent enough for an ETA.
+                # Checkpoint flushes and progress ticks share one cadence —
+                # cheap enough to stay in the loop, frequent enough for an
+                # ETA.
+                if checkpoint is not None:
+                    checkpoint.flush()
                 _observe_job_times(
                     self._job_wall_times[emitted_at - position:], job_seconds
                 )
@@ -856,16 +676,15 @@ class FaultInjectionCampaign:
             stats.absorb(compiled.stats)
         return outcomes
 
-    def _campaign_token(self) -> str:
-        """Content hash identifying this campaign's worker configuration.
+    def _run_fingerprint(self) -> str:
+        """Content hash of this run's campaign: the checkpoint key and the
+        ``fingerprint`` of its progress events.
 
-        Cached for the duration of ONE run only (:func:`campaign_fingerprint`
-        hashes the whole model, so chunk-recovery pool rebuilds must not pay
-        it repeatedly) — ``_run_campaign`` invalidates the cache at entry,
+        Computed at most once per run (:func:`campaign_fingerprint` hashes
+        the whole model) — ``_run_campaign`` invalidates it at entry,
         because the iterate-and-rerun workflows (DECISIVE, service tenants)
         mutate the model or config between runs and a stale fingerprint
-        would match the warm pool and checkpoint/cache keys of the *old*
-        model state.
+        would match the checkpoint of the *old* model state.
         """
         if self._fingerprint is None:
             self._fingerprint = campaign_fingerprint(
@@ -877,301 +696,6 @@ class FaultInjectionCampaign:
                 self.behavior_overrides,
             )
         return self._fingerprint
-
-    def _new_pool(self, conversion: ElectricalConversion, size: int):
-        """Acquire the warm worker pool (or a fresh one on token mismatch).
-
-        The token captures everything ``_campaign_worker_init`` bakes into
-        the workers; an exact match means the cached pool's workers are
-        already initialised identically and can serve this campaign with
-        zero start-up cost.
-        """
-        max_workers = max(1, min(self.workers, size))
-        # The ambient correlation id is baked into the worker initargs (so
-        # worker-side events/spans/logs carry it) and therefore into the
-        # token: a pool initialised for another job's id must not serve
-        # this one.  Uncorrelated campaigns (cid None) keep full reuse.
-        cid = obs.correlation_id()
-        token = (
-            self._campaign_token(),
-            max_workers,
-            self.incremental,
-            obs.enabled(),
-            obs.events_enabled(),
-            self.retry_policy,
-            self.job_timeout,
-            self.solver_backend,
-            cid,
-        )
-        executor, reused = _warm_pool.acquire(
-            token,
-            max_workers,
-            _campaign_worker_init,
-            (
-                conversion,
-                self.analysis,
-                self.t_stop,
-                self.dt,
-                self.incremental,
-                obs.enabled(),
-                self.retry_policy,
-                self.job_timeout,
-                self.solver_backend,
-                obs.events_enabled(),
-                cid,
-            ),
-        )
-        if reused:
-            self._pool_reused = True
-        return executor
-
-    def _execute_parallel(
-        self,
-        conversion: ElectricalConversion,
-        jobs: Sequence[InjectionJob],
-        stats: CampaignStats,
-        checkpoint: Optional[CampaignCheckpoint] = None,
-    ) -> Dict[int, _Outcome]:
-        """Fan jobs out over a process pool, chunk-granularly recoverable.
-
-        A chunk whose worker dies is resubmitted to a fresh pool up to
-        ``max_retries`` times, then bisected — so one poisoned job cannot
-        take healthy work down with it, and the cost of a crash is one
-        chunk, not the campaign.  Completed chunks are kept (outcomes,
-        solver stats and spans) even when the pool layer later gives up
-        and the campaign degrades to serial for the remainder.
-        """
-        completed: Dict[int, _Outcome] = {}
-        try:
-            self._parallel_rounds(
-                conversion, jobs, stats, completed, checkpoint
-            )
-        except Exception as exc:  # noqa: BLE001 — pool layer must not abort
-            # Restricted environments (no fork/semaphores) or repeated
-            # zero-progress pool deaths: degrade to serial for whatever is
-            # left.  Completed outcomes stay valid — their stats/spans are
-            # already merged and the serial pass will skip them.
-            raise _ParallelUnavailable(completed, exc) from exc
-        return completed
-
-    def _parallel_rounds(
-        self,
-        conversion: ElectricalConversion,
-        jobs: Sequence[InjectionJob],
-        stats: CampaignStats,
-        completed: Dict[int, _Outcome],
-        checkpoint: Optional[CampaignCheckpoint],
-    ) -> None:
-        from concurrent.futures.process import BrokenProcessPool
-
-        # Round-robin chunking balances expensive (nonlinear) jobs across
-        # workers; outcomes are re-keyed by job index, so ordering is
-        # deterministic whatever the completion order.
-        chunks = [
-            tuple(jobs[offset :: self.workers])
-            for offset in range(self.workers)
-        ]
-        pending = [
-            _ChunkTask(order=(i,), jobs=chunk)
-            for i, chunk in enumerate(chunks)
-            if chunk
-        ]
-        parent_span = obs.current_span_id()
-        pool = self._new_pool(conversion, len(pending))
-        zero_progress_rounds = 0
-        try:
-            while pending:
-                submitted: List[Tuple[_ChunkTask, object]] = []
-                lost: List[_ChunkTask] = []
-                pool_broken = False
-                for task in pending:
-                    try:
-                        submitted.append(
-                            (task, pool.submit(_campaign_worker_chunk, task.jobs))
-                        )
-                    except BrokenProcessPool:
-                        lost.append(task)
-                        pool_broken = True
-                progressed = 0
-                # Process in submission order so the merged trace is
-                # deterministic for a fixed worker count and loss pattern.
-                for task, future in submitted:
-                    try:
-                        results, solve_stats, extras, payload = future.result()
-                    except BrokenProcessPool:
-                        lost.append(task)
-                        pool_broken = True
-                        continue
-                    except Exception:  # noqa: BLE001 — e.g. pickling errors
-                        lost.append(task)
-                        continue
-                    progressed += 1
-                    for index, outcome in results:
-                        completed[index] = outcome
-                    stats.absorb(solve_stats)
-                    stats.retries += extras.get("retries", 0)
-                    stats.timeouts += extras.get("timeouts", 0)
-                    walls = extras.get("job_wall_times", ())
-                    self._job_wall_times.extend(walls)
-                    _observe_job_times(walls, extras.get("job_seconds", ()))
-                    obs.ingest_worker_data(payload, parent_id=parent_span)
-                    self._emit_progress(
-                        len(results), chunk=".".join(map(str, task.order))
-                    )
-                    if checkpoint is not None:
-                        by_index = {job.index: job for job in task.jobs}
-                        for index, outcome in results:
-                            checkpoint.record(by_index[index], outcome)
-                        checkpoint.flush()
-                if lost and not progressed:
-                    zero_progress_rounds += 1
-                    if zero_progress_rounds >= 2:
-                        # Nothing survives this environment's pools; let
-                        # the serial fallback take the remainder.
-                        raise RuntimeError(
-                            "process pool made no progress in "
-                            f"{zero_progress_rounds} consecutive rounds"
-                        )
-                else:
-                    zero_progress_rounds = 0
-                pending = self._requeue_lost(lost, stats, completed)
-                if pool_broken:
-                    # A broken executor can never serve again — evict it
-                    # from the warm cache even when nothing is pending.
-                    _warm_pool.discard(pool)
-                    if pending:
-                        pool = self._new_pool(conversion, len(pending))
-                if pending:
-                    time.sleep(self.retry_policy.delay(1))
-        finally:
-            # Keeps the healthy warm pool alive for the next campaign;
-            # shuts down anything else (including already-discarded pools —
-            # idempotent).
-            _warm_pool.release(pool)
-
-    def _requeue_lost(
-        self,
-        lost: Sequence[_ChunkTask],
-        stats: CampaignStats,
-        completed: Dict[int, _Outcome],
-    ) -> List[_ChunkTask]:
-        """Retry, bisect or fail-out the chunks whose workers died."""
-        requeued: List[_ChunkTask] = []
-        for task in lost:
-            attempt = task.attempt + 1
-            obs.emit_event(
-                "pool_worker_lost",
-                chunk=".".join(map(str, task.order)),
-                jobs=len(task.jobs),
-                attempt=attempt,
-            )
-            obs.log(
-                "warning", "pool worker lost",
-                chunk=".".join(map(str, task.order)),
-                jobs=len(task.jobs), attempt=attempt,
-            )
-            if attempt <= self.retry_policy.max_retries:
-                stats.retries += 1
-                with obs.span(
-                    "campaign.retry",
-                    chunk=".".join(map(str, task.order)),
-                    attempt=attempt,
-                    jobs=len(task.jobs),
-                ):
-                    pass
-                requeued.append(
-                    _ChunkTask(task.order, task.jobs, attempt=attempt)
-                )
-            elif len(task.jobs) > 1:
-                # Retry budget spent on the whole chunk: bisect to corner
-                # the poisoned job while the healthy half still completes.
-                middle = len(task.jobs) // 2
-                requeued.append(
-                    _ChunkTask(task.order + (0,), task.jobs[:middle])
-                )
-                requeued.append(
-                    _ChunkTask(task.order + (1,), task.jobs[middle:])
-                )
-            else:
-                job = task.jobs[0]
-                failure = JobFailure(
-                    index=job.index,
-                    component=job.component,
-                    failure_mode=job.failure_mode,
-                    exception="BrokenProcessPool",
-                    message=(
-                        "worker process died repeatedly while executing "
-                        "this job"
-                    ),
-                    kind="worker_lost",
-                    retries=task.attempt,
-                )
-                completed[job.index] = ("failed", failure.to_dict())
-        return requeued
-
-    def _effective_workers(
-        self, pending_jobs: int, size: Optional[int] = None
-    ) -> int:
-        """Worker count for this run, given how many jobs remain.
-
-        ``fixed`` honours the requested count, ``serial`` is always one,
-        and ``auto`` fans out only past a measured crossover: at/above
-        :data:`AUTO_PARALLEL_MIN_JOBS` pending jobs, or — when ``size``
-        (the MNA system dimension) is known — whenever the estimated
-        solve work ``jobs * size**2`` reaches
-        :data:`AUTO_PARALLEL_MIN_COST`.  Below both bounds, measured pool
-        start-up cost exceeds the incremental serial solve (see
-        BENCH_injection.json).
-        """
-        if self.strategy == "serial":
-            return 1
-        if self.strategy == "auto":
-            heavy = (
-                size is not None
-                and pending_jobs >= _AUTO_COST_MIN_JOBS
-                and pending_jobs * float(size) ** 2 >= AUTO_PARALLEL_MIN_COST
-            )
-            if pending_jobs < AUTO_PARALLEL_MIN_JOBS and not heavy:
-                return 1
-            if self.workers > 1:
-                return self.workers
-            import os
-
-            return max(1, min(pending_jobs, os.cpu_count() or 1))
-        return self.workers
-
-    def _execute(
-        self,
-        conversion: ElectricalConversion,
-        jobs: Sequence[InjectionJob],
-        stats: CampaignStats,
-        checkpoint: Optional[CampaignCheckpoint] = None,
-    ) -> Dict[int, _Outcome]:
-        if not jobs:
-            return {}
-        outcomes: Dict[int, _Outcome] = {}
-        remaining: Sequence[InjectionJob] = jobs
-        if self.workers > 1:
-            try:
-                outcomes = self._execute_parallel(
-                    conversion, jobs, stats, checkpoint
-                )
-                remaining = ()
-            except _ParallelUnavailable as exc:
-                # Degrade to serial — same rows, just without the fan-out.
-                # Chunks that did complete in parallel are kept; only the
-                # remainder re-runs, so nothing is double-counted.
-                stats.parallel_fallback = True
-                stats.workers = 1
-                outcomes = exc.completed
-                remaining = [
-                    job for job in jobs if job.index not in outcomes
-                ]
-        if remaining:
-            outcomes.update(
-                self._execute_serial(conversion, remaining, stats, checkpoint)
-            )
-        return outcomes
 
     # -- classification ---------------------------------------------------
 
@@ -1242,21 +766,19 @@ class FaultInjectionCampaign:
         With observability enabled the campaign is one ``campaign`` span
         over ``campaign.baseline`` / ``campaign.enumerate`` /
         ``campaign.execute`` (parenting one ``campaign.job`` span per
-        executed injection, merged back from pool workers) /
-        ``campaign.classify`` phases, and the final counters are published
-        as ``campaign_*`` metrics.
+        executed injection) / ``campaign.classify`` phases, and the final
+        counters are published as ``campaign_*`` metrics.
 
         The whole run executes under this campaign's correlation id (when
-        one was given): every event, span, log record and pool-worker
-        delta it produces carries the id.
+        one was given): every event, span and log record it produces
+        carries the id.
         """
         with obs.correlation(self.correlation_id):
             if self.solver_backend is None:
                 return self._run_campaign()
             # Campaign-wide backend: the naive/transient/baseline paths
             # solve through module-level functions that read the process
-            # default, so pin it for the duration of the run (workers pin
-            # their own copy in the pool initializer).
+            # default, so pin it for the duration of the run.
             previous = default_backend()
             set_default_backend(self.solver_backend)
             try:
@@ -1266,16 +788,12 @@ class FaultInjectionCampaign:
 
     def _run_campaign(self) -> FmeaResult:
         started = time.perf_counter()
-        self._pool_reused = False
         # The model/config may have been mutated since the previous run of
-        # this campaign object; recompute the fingerprint per run so warm-
-        # pool tokens and checkpoint keys always reflect current content.
+        # this campaign object; recompute the fingerprint per run so
+        # checkpoint keys always reflect current content.
         self._fingerprint = None
         stats = CampaignStats(
-            workers=self.workers,
-            requested_workers=self.workers,
             mode="incremental" if self.incremental else "naive",
-            strategy=self.strategy,
             analysis=self.analysis,
             solver_backend=self.solver_backend or "auto",
         )
@@ -1284,11 +802,10 @@ class FaultInjectionCampaign:
             "campaign",
             system=self.model.name,
             mode=stats.mode,
-            workers=self.workers,
             analysis=self.analysis,
         ) as campaign_span:
             conversion = to_netlist(self.model)
-            self._shared_compiled = None
+            compiled: Optional[CompiledSystem] = None
             baseline_started = time.perf_counter()
             with obs.span("campaign.baseline", analysis=self.analysis):
                 if self.analysis == "transient":
@@ -1298,16 +815,15 @@ class FaultInjectionCampaign:
                 elif self.incremental:
                     # Read the healthy baseline off the shared compiled
                     # system: one Newton solve serves both the baseline
-                    # readings and the warm start of every serial fault
-                    # solve, instead of paying it twice (which is what
-                    # used to put tiny incremental campaigns behind
-                    # naive ones).
-                    self._shared_compiled = _primed_system(
+                    # readings and the warm start of every fault solve,
+                    # instead of paying it twice (which is what used to put
+                    # tiny incremental campaigns behind naive ones).
+                    compiled = _primed_system(
                         conversion.netlist, backend=self.solver_backend
                     )
                     try:
                         baseline = _readings_from_solution(
-                            conversion, self._shared_compiled.solve(), None
+                            conversion, compiled.solve(), None
                         )
                     except CircuitError:
                         baseline = _solve_readings(
@@ -1331,16 +847,6 @@ class FaultInjectionCampaign:
 
             checkpoint, preloaded = self._open_checkpoint(jobs, stats)
             pending = [job for job in jobs if job.index not in preloaded]
-            # The strategy decision happens here, once the *pending* job
-            # count is known — resumed jobs cost nothing, so a mostly
-            # checkpointed campaign rightly stays serial under `auto`.
-            # The MNA dimension feeds the cost-model crossover: large
-            # systems justify fan-out with far fewer jobs.
-            self.workers = self._effective_workers(
-                len(pending), size=system_size(conversion.netlist)
-            )
-            stats.workers = self.workers
-            campaign_span.set(workers=self.workers)
             self._job_wall_times = []
             self._progress_total = stats.jobs
             self._progress_done = len(preloaded)
@@ -1354,8 +860,6 @@ class FaultInjectionCampaign:
                     analysis=self.analysis,
                     jobs=stats.jobs,
                     rows=stats.rows,
-                    workers=self.workers,
-                    strategy=self.strategy,
                     mode=stats.mode,
                     resumed=len(preloaded),
                     fingerprint=fingerprint,
@@ -1363,29 +867,15 @@ class FaultInjectionCampaign:
                 obs.log(
                     "info", "campaign started",
                     system=self.model.name, analysis=self.analysis,
-                    jobs=stats.jobs, workers=self.workers,
-                    fingerprint=fingerprint,
+                    jobs=stats.jobs, fingerprint=fingerprint,
                 )
             with obs.span(
                 "campaign.execute", jobs=len(pending), resumed=len(preloaded)
             ):
-                outcomes = self._execute(conversion, pending, stats, checkpoint)
-            outcomes.update(preloaded)
-            if self._progress_done < self._progress_total:
-                # Jobs that never produced a chunk_completed tick (e.g.
-                # bisected-out worker_lost failures written straight into
-                # `completed`): one closing event keeps the sequence's
-                # final done count equal to stats.jobs.
-                self._emit_progress(
-                    self._progress_total - self._progress_done
+                outcomes = self._execute_serial(
+                    conversion, compiled, pending, stats, checkpoint
                 )
-            if checkpoint is not None:
-                # Sweep anything the per-chunk/periodic flushes missed
-                # (e.g. outcomes produced by the serial fallback tail).
-                for job in jobs:
-                    if job.index in outcomes:
-                        checkpoint.record(job, outcomes[job.index])
-                checkpoint.flush()
+            outcomes.update(preloaded)
             with obs.span("campaign.classify", rows=len(slots)):
                 for row, job in slots:
                     if job is None:
@@ -1414,7 +904,6 @@ class FaultInjectionCampaign:
                         self._classify(row, outcome, baseline, monitored)
                     )
             stats.job_failures = len(result.failures)
-            stats.pool_reused = self._pool_reused
             if not result.rows:
                 raise FmeaError(
                     "FMEA produced no rows: no component matched the "
@@ -1429,7 +918,6 @@ class FaultInjectionCampaign:
             campaign_span.set(
                 jobs=stats.jobs,
                 rows=stats.rows,
-                parallel_fallback=stats.parallel_fallback,
                 retries=stats.retries,
                 job_failures=stats.job_failures,
                 resumed_jobs=stats.resumed_jobs,
@@ -1446,8 +934,6 @@ class FaultInjectionCampaign:
                 wall_seconds=stats.wall_time,
                 retries=stats.retries,
                 job_failures=stats.job_failures,
-                pool_reused=stats.pool_reused,
-                parallel_fallback=stats.parallel_fallback,
                 fingerprint=fingerprint,
             )
             obs.log(
@@ -1464,11 +950,8 @@ class FaultInjectionCampaign:
         """Set up checkpointing; with ``resume``, load prior outcomes."""
         if self.checkpoint is None:
             return None, {}
-        # Same per-run fingerprint as the warm-pool token — one whole-model
-        # hash per run keys both the checkpoint file and the pool.
-        fingerprint = self._campaign_token()
         checkpoint = CampaignCheckpoint(
-            self.checkpoint, fingerprint, resume=self.resume
+            self.checkpoint, self._run_fingerprint(), resume=self.resume
         )
         if not self.resume:
             return checkpoint, {}

@@ -1,149 +1,13 @@
-"""Persistent warm process pool for fault-injection campaigns.
+"""No-op teardown hook for fault-injection campaigns.
 
-Spinning up a ``ProcessPoolExecutor`` costs fork + interpreter warm-up +
-pickling the conversion into every worker — BENCH_injection.json measured
-that fixed cost at more than the entire solve time of the small case
-studies, which is how ``parallel_s`` lost to serial on every case.  This
-module keeps ONE pool alive across campaigns within the process:
-
-- :func:`acquire` returns the cached executor when the request *token*
-  matches the cached one exactly (same campaign fingerprint, worker count,
-  solver backend, tracing mode, retry policy, …) — the workers are already
-  initialised with identical ``initargs``, so re-running the initializer
-  would be a no-op;
-- any token mismatch discards the cached pool and starts a fresh one (the
-  initializer protocol is unchanged — workers are configured once, at pool
-  construction);
-- :func:`discard` is for broken pools (a ``BrokenProcessPool`` poisons the
-  executor permanently); :func:`release` keeps a healthy cached pool warm
-  and shuts down anything else.
-
-Reuse is visible as the ``campaign_pool_reuses`` counter / the
-``campaign_pool_reuse`` gauge (see ``repro.obs``) and as
-``CampaignStats.pool_reused``.
+Campaigns run on one execution path — a batched presolve of the pending
+jobs, then the per-job loop — and keep no worker pool.  :func:`shutdown_all`
+remains because the repository benchmark's teardown (``perfbench/run.py``)
+calls it after every run.
 """
 
-from __future__ import annotations
-
-import atexit
-import threading
-from typing import Dict, Optional, Tuple
-
-from repro import obs
-
-__all__ = ["acquire", "release", "discard", "shutdown_all", "status"]
-
-#: The single cached warm pool: ``(token, executor)`` or ``None``.
-_CACHED: Optional[Tuple[object, object]] = None
-
-#: Guards every read-modify-write of :data:`_CACHED`.  Campaigns used to be
-#: strictly sequential within a process, but the analysis service runs them
-#: from concurrent server threads — two unsynchronised ``acquire`` calls
-#: could both read the same cached pool, or ``shutdown_all``/``status``
-#: could observe a half-swapped cache.
-_LOCK = threading.Lock()
-
-
-def _shutdown(executor) -> None:
-    try:
-        executor.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # noqa: BLE001 — teardown must never propagate
-        pass
-
-
-def _broken(executor) -> bool:
-    """Whether the executor has latched its broken state."""
-    return bool(getattr(executor, "_broken", False))
-
-
-def acquire(token, max_workers: int, initializer, initargs):
-    """``(executor, reused)`` — the warm pool on an exact token match,
-    else a fresh ``ProcessPoolExecutor`` (the old one is discarded).
-
-    ``token`` must capture everything that shapes worker behaviour: the
-    campaign fingerprint, worker count, analysis parameters, solver
-    backend, tracing mode and retry policy all belong in it, because a
-    reused pool never re-runs its initializer.
-    """
-    global _CACHED
-    from concurrent.futures import ProcessPoolExecutor
-
-    with _LOCK:
-        if _CACHED is not None:
-            cached_token, executor = _CACHED
-            if cached_token == token and not _broken(executor):
-                # The counter increments unconditionally, like the event
-                # emit below (which self-gates on the event plane): reuse
-                # accounting must not depend on which observability plane
-                # happens to be switched on — the live `/metrics` scrape
-                # of the analysis service reads the registry directly.
-                obs.counter("campaign_pool_reuses").inc()
-                obs.emit_event(
-                    "pool_acquired", reused=True, workers=max_workers
-                )
-                obs.log("debug", "warm pool reused", workers=max_workers)
-                return executor, True
-            _CACHED = None
-            _shutdown(executor)
-            obs.log(
-                "info", "warm pool discarded (token mismatch)",
-                workers=max_workers,
-            )
-        executor = ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=initializer,
-            initargs=initargs,
-        )
-        _CACHED = (token, executor)
-    obs.emit_event("pool_acquired", reused=False, workers=max_workers)
-    obs.log("info", "warm pool started", workers=max_workers)
-    return executor, False
-
-
-def release(executor) -> None:
-    """End-of-campaign hand-back: the cached warm pool stays alive for the
-    next campaign; anything else is shut down."""
-    with _LOCK:
-        if _CACHED is not None and _CACHED[1] is executor:
-            return
-    _shutdown(executor)
-
-
-def discard(executor) -> None:
-    """Shut ``executor`` down and forget it if it was the cached pool —
-    for broken executors, which can never be reused."""
-    global _CACHED
-    with _LOCK:
-        if _CACHED is not None and _CACHED[1] is executor:
-            _CACHED = None
-    _shutdown(executor)
-    obs.log("warning", "broken pool discarded")
-
-
-def status() -> Dict[str, object]:
-    """Warm-pool liveness for the `/healthz` endpoint (read-only)."""
-    with _LOCK:
-        cached = _CACHED
-    if cached is None:
-        return {"warm": False}
-    _, executor = cached
-    return {
-        "warm": True,
-        "broken": _broken(executor),
-        "max_workers": getattr(executor, "_max_workers", None),
-    }
+__all__ = ["shutdown_all"]
 
 
 def shutdown_all() -> None:
-    """Drop and shut down the cached warm pool (atexit hook; also used by
-    tests that need a cold-pool baseline)."""
-    global _CACHED
-    with _LOCK:
-        if _CACHED is None:
-            return
-        _, executor = _CACHED
-        _CACHED = None
-    _shutdown(executor)
-
-
-atexit.register(shutdown_all)
+    """No-op: campaigns hold no process pool to shut down."""

@@ -146,8 +146,6 @@ class SAME:
         sensors: Optional[Sequence[str]] = None,
         threshold: float = 0.2,
         assume_stable: Iterable[str] = (),
-        workers: int = 1,
-        strategy: str = "fixed",
         max_retries: int = 2,
         job_timeout: Optional[float] = None,
         checkpoint: Optional[str] = None,
@@ -156,11 +154,11 @@ class SAME:
     ) -> FmeaResult:
         """Injection-based FMEA of the Simulink model.
 
-        ``workers``/``strategy``/``max_retries``/``job_timeout``/
-        ``checkpoint``/``resume``/``solver_backend`` are forwarded to
+        ``max_retries``/``job_timeout``/``checkpoint``/``resume``/
+        ``solver_backend`` are forwarded to
         :class:`~repro.safety.campaign.FaultInjectionCampaign` so iterative
-        SAME workflows get the same execution strategy, fault tolerance,
-        checkpoint–resume behaviour and solver backend as the CLI.
+        SAME workflows get the same fault tolerance, checkpoint–resume
+        behaviour and solver backend as the CLI.
         """
         self._require("simulink_model")
         self._require("reliability")
@@ -173,8 +171,6 @@ class SAME:
                 sensors=sensors,
                 threshold=threshold,
                 assume_stable=assume_stable,
-                workers=workers,
-                strategy=strategy,
                 max_retries=max_retries,
                 job_timeout=job_timeout,
                 checkpoint=checkpoint,
@@ -185,7 +181,7 @@ class SAME:
                 self.last_fmea,
                 self.simulink_model,
                 sp,
-                config={"threshold": threshold, "strategy": strategy},
+                config={"threshold": threshold},
             )
         return self.last_fmea
 

@@ -6,7 +6,7 @@ exit.  :class:`AnalysisService` is the long-lived shape (ROADMAP item 1):
 - **submit** an :class:`AnalysisRequest` (fmea / fmeda / search) and get an
   :class:`AnalysisJob` back immediately; a pool of worker *threads* drains
   the queue, dispatching into :class:`FaultInjectionCampaign` with the
-  full retry/checkpoint machinery and the process-wide warm worker pool;
+  full retry/checkpoint machinery;
 - results are **cached against the analysis ledger**, keyed by the
   campaign fingerprint (content hash of model + reliability + solver
   config) combined with the classification/deployment config — an
@@ -153,8 +153,8 @@ class AnalysisRequest:
     :func:`reliability_payload` list form.  ``config`` carries campaign
     and classification parameters (``threshold``, ``sensors``,
     ``assume_stable``, ``min_absolute_delta``, ``analysis``, ``t_stop``,
-    ``dt``, ``workers``, ``strategy``, ``solver_backend``,
-    ``job_timeout``, ``max_retries``).  ``deployments`` (fmeda) and
+    ``dt``, ``solver_backend``, ``job_timeout``, ``max_retries``); keys
+    it does not recognise are ignored.  ``deployments`` (fmeda) and
     ``mechanisms`` + ``target_asil`` (search) extend the base FMEA.
     """
 
@@ -236,8 +236,8 @@ class AnalysisRequest:
         :meth:`cache_key` the same request would have as a plain ``fmea``
         (no deployments, mechanisms or target).
 
-        Execution settings (``strategy``, ``solver_backend``, ``workers``)
-        stay out of both keys: they never change a row.
+        Execution settings (``solver_backend``, ``job_timeout``,
+        ``max_retries``) stay out of both keys: they never change a row.
         """
         return self._key(fingerprint, "fmea", [], [], "")
 
@@ -288,8 +288,7 @@ class AnalysisJob:
     fingerprint: str = ""
     cache_key: str = ""
     #: Minted at submit; stamps every event/span/log/ledger entry the job
-    #: produces (including inside pool workers) and keys the job's
-    #: ``/jobs/<id>/events`` stream.
+    #: produces and keys the job's ``/jobs/<id>/events`` stream.
     correlation_id: str = ""
     submitted_at: float = 0.0
     started_at: Optional[float] = None
@@ -358,9 +357,9 @@ class AnalysisService:
         doubles as the result cache and the provenance record — every
         computed job appends an entry, every cache hit is served from one;
     workers:
-        worker *threads* draining the queue.  Each campaign may itself fan
-        out over the process-wide warm pool, so a handful of threads
-        saturates the machine;
+        worker *threads* draining the queue, one campaign each.  A
+        campaign's ``job_timeout`` is armed only on a process's main
+        thread, so it does not apply to the campaigns these threads run;
     checkpoint_dir:
         when set, every campaign checkpoints to
         ``<dir>/<fingerprint>.jsonl`` with ``resume=True`` — a job retried
@@ -553,8 +552,8 @@ class AnalysisService:
             self._run_job(job)
 
     def _run_job(self, job: AnalysisJob) -> None:
-        # The whole job — campaign, pool workers, ledger append, every
-        # event/span/log — runs under the job's correlation id.
+        # The whole job — campaign, ledger append, every event/span/log —
+        # runs under the job's correlation id.
         with obs.correlation(job.correlation_id or None):
             self._run_job_correlated(job)
 
@@ -800,8 +799,7 @@ class AnalysisService:
         kwargs: Dict[str, object] = {}
         for key in (
             "threshold", "min_absolute_delta", "analysis", "t_stop", "dt",
-            "workers", "strategy", "max_retries", "job_timeout",
-            "solver_backend",
+            "max_retries", "job_timeout", "solver_backend",
         ):
             if key in config and config[key] is not None:
                 kwargs[key] = config[key]

@@ -4,17 +4,11 @@ gate for the pluggable MNA backend.
 Whatever linear solver the campaign runs on — dense LAPACK LU, sparse
 CSC/SuperLU, or the size-based ``auto`` pick — the FMEA rows must be
 identical (discrete fields exactly, sensor deltas to numerical noise) on
-all three case studies and on a seeded generated distribution grid.  A
-``CAMPAIGN_CHAOS=1``-gated variant re-checks parity while the worker pool
-is being randomly killed.
+all three case studies and on a seeded generated distribution grid.
 """
 
 import math
-import os
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
 import pytest
 
 from repro.casestudies import (
@@ -30,7 +24,6 @@ from repro.casestudies import (
 )
 from repro.casestudies.power_supply import ASSUMED_STABLE
 from repro.circuit import default_backend
-from repro.safety import campaign as campaign_mod
 from repro.safety.campaign import FaultInjectionCampaign
 from repro.safety.fmea import FmeaError
 
@@ -84,7 +77,7 @@ def cases():
 @pytest.fixture(scope="module")
 def naive_reference(cases):
     """Naive full re-assembly on the process default backend — the ground
-    truth every (backend, strategy) combination must reproduce."""
+    truth every backend must reproduce."""
     results = {}
     for name, (model, reliability, stable) in cases.items():
         results[name] = FaultInjectionCampaign(
@@ -185,67 +178,3 @@ def test_grid_sample_is_deterministic():
         model, k=_GRID_SAMPLE_K, seed=_GRID_SEED + 1
     )
 
-
-# -- chaos variant (nightly) --------------------------------------------------
-
-
-class _ChaoticPool:
-    """Inline executor that kills each submission with fixed probability."""
-
-    def __init__(self, rng, kill_probability=0.3):
-        self._rng = rng
-        self._kill_probability = kill_probability
-        self.kills = 0
-
-    def submit(self, fn, chunk):
-        future = Future()
-        if self._rng.random() < self._kill_probability:
-            self.kills += 1
-            future.set_exception(BrokenProcessPool("chaos kill"))
-        else:
-            future.set_result(fn(chunk))
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-@pytest.mark.skipif(
-    os.environ.get("CAMPAIGN_CHAOS") != "1",
-    reason="chaos drill; set CAMPAIGN_CHAOS=1 to run",
-)
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("seed", (0, 1, 2))
-def test_backend_parity_survives_worker_kills(
-    cases, naive_reference, monkeypatch, backend, seed
-):
-    """Row parity must hold per backend even while the pool is being
-    randomly killed and the campaign retries/bisects chunks."""
-    model, reliability, stable = cases["grid"]
-    rng = np.random.default_rng(seed)
-
-    def chaotic_new_pool(self, conversion, size):
-        campaign_mod._campaign_worker_init(
-            conversion,
-            self.analysis,
-            self.t_stop,
-            self.dt,
-            self.incremental,
-            False,
-            self.retry_policy,
-            self.job_timeout,
-            self.solver_backend,
-        )
-        return _ChaoticPool(rng)
-
-    monkeypatch.setattr(
-        FaultInjectionCampaign, "_new_pool", chaotic_new_pool
-    )
-    result = FaultInjectionCampaign(
-        model,
-        reliability,
-        assume_stable=stable,
-        workers=2,
-        solver_backend=backend,
-    ).run()
-    assert_rows_identical(naive_reference["grid"], result)

@@ -1,16 +1,18 @@
 """Chaos drill for the campaign engine (nightly CI).
 
-Runs the System B campaign through an executor shim that randomly kills
-worker chunks (seeded RNG, several seeds) and asserts row-level
-equivalence with the clean serial run.  Gated behind ``CAMPAIGN_CHAOS=1``
-because it reruns the campaign many times; tier-1 keeps the deterministic
-single-kill coverage in ``test_campaign_resilience.py``.
+Runs the System B campaign with seeded failures injected on every path
+that can fail: transient errors (retried to success), poisoned jobs (a
+hard exception, or a transient error that never clears) and a batched
+presolve that raises (every job then solves alone).  For each seed, the
+rows of the jobs that were not poisoned must equal the clean run's, and
+each poisoned job must yield exactly one ``JobFailure``.  Gated behind
+``CAMPAIGN_CHAOS=1`` because it reruns the campaign many times; tier-1
+keeps the deterministic single-failure coverage in
+``test_campaign_resilience.py``.
 """
 
 import math
 import os
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from repro.casestudies import (
     build_system_b_simulink,
     power_network_reliability,
 )
+from repro.circuit import CompiledSystem
 from repro.safety import campaign as campaign_mod
 from repro.safety.campaign import FaultInjectionCampaign
+from repro.safety.resilience import TRANSIENT_ERRORS
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("CAMPAIGN_CHAOS") != "1",
@@ -29,28 +33,10 @@ pytestmark = pytest.mark.skipif(
 )
 
 SMOKE_RAILS = 4
-KILL_PROBABILITY = 0.3
+MAX_RETRIES = 2
+POISON_PROBABILITY = 0.05
+TRANSIENT_PROBABILITY = 0.2
 SEEDS = (0, 1, 2, 3, 4)
-
-
-class _ChaoticPool:
-    """Inline executor that kills each submission with fixed probability."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.kills = 0
-
-    def submit(self, fn, chunk):
-        future = Future()
-        if self._rng.random() < KILL_PROBABILITY:
-            self.kills += 1
-            future.set_exception(BrokenProcessPool("chaos kill"))
-        else:
-            future.set_result(fn(chunk))
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
 
 
 @pytest.fixture(scope="module")
@@ -62,91 +48,98 @@ def system_b():
 
 
 @pytest.fixture(scope="module")
-def clean_serial(system_b):
+def clean(system_b):
     model, reliability = system_b
     return FaultInjectionCampaign(
         model, reliability, assume_stable=SYSTEM_B_ASSUMED_STABLE
     ).run()
 
 
-def assert_rows_identical(reference, other):
-    assert len(reference.rows) == len(other.rows)
-    for expected, actual in zip(reference.rows, other.rows):
-        assert (
-            expected.component,
-            expected.failure_mode,
-            expected.safety_related,
-            expected.impact,
-            expected.effect,
-            expected.warning,
-        ) == (
-            actual.component,
-            actual.failure_mode,
-            actual.safety_related,
-            actual.impact,
-            actual.effect,
-            actual.warning,
+def assert_row_identical(expected, actual):
+    assert (
+        expected.component,
+        expected.failure_mode,
+        expected.safety_related,
+        expected.impact,
+        expected.effect,
+        expected.warning,
+    ) == (
+        actual.component,
+        actual.failure_mode,
+        actual.safety_related,
+        actual.impact,
+        actual.effect,
+        actual.warning,
+    )
+    assert set(expected.sensor_deltas) == set(actual.sensor_deltas)
+    for sensor, delta in expected.sensor_deltas.items():
+        assert math.isclose(
+            delta, actual.sensor_deltas[sensor], rel_tol=1e-9, abs_tol=1e-9
         )
-        for sensor, delta in expected.sensor_deltas.items():
-            assert math.isclose(
-                delta,
-                actual.sensor_deltas[sensor],
-                rel_tol=1e-9,
-                abs_tol=1e-9,
+
+
+def _plan(seed, jobs):
+    """The seed's failure plan: poisoned jobs (hard or never-clearing
+    transient), transient blips per healthy job (each within the retry
+    budget) and whether the batched presolve raises (odd seeds, so both
+    the presolved and the per-job route meet poisoned jobs)."""
+    rng = np.random.default_rng(seed)
+    poisoned = {}
+    blips = {}
+    for index in range(jobs):
+        if rng.random() < POISON_PROBABILITY:
+            poisoned[index] = (
+                RuntimeError if rng.random() < 0.5 else TRANSIENT_ERRORS[0]
             )
+        elif rng.random() < TRANSIENT_PROBABILITY:
+            blips[index] = int(rng.integers(1, MAX_RETRIES + 1))
+    return poisoned, blips, seed % 2 == 1
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_random_worker_kills_preserve_row_equivalence(
-    system_b, clean_serial, monkeypatch, seed
+def test_seeded_failures_preserve_row_equivalence(
+    system_b, clean, monkeypatch, seed
 ):
     model, reliability = system_b
-    rng = np.random.default_rng(seed)
-    pools = []
+    poisoned, blips, batch_raises = _plan(seed, clean.stats.jobs)
+    left = dict(blips)
+    real_job = campaign_mod._execute_job
+    real_batch = CompiledSystem.solve_replacements
 
-    def chaotic_new_pool(self, conversion, size):
-        campaign_mod._campaign_worker_init(
-            conversion,
-            self.analysis,
-            self.t_stop,
-            self.dt,
-            self.incremental,
-            False,
-            self.retry_policy,
-            self.job_timeout,
-        )
-        pool = _ChaoticPool(rng)
-        pools.append(pool)
-        return pool
+    def chaotic_job(conversion, shared, job, analysis, t_stop, dt):
+        if job.index in poisoned:
+            raise poisoned[job.index](f"chaos poison {job.index}")
+        if left.get(job.index):
+            left[job.index] -= 1
+            raise TRANSIENT_ERRORS[0](f"chaos blip {job.index}")
+        return real_job(conversion, shared, job, analysis, t_stop, dt)
 
-    monkeypatch.setattr(FaultInjectionCampaign, "_new_pool", chaotic_new_pool)
+    def chaotic_batch(self, faults):
+        if batch_raises and len(faults) > 1:
+            raise RuntimeError("chaos batch failure")
+        return real_batch(self, faults)
+
+    monkeypatch.setattr(campaign_mod, "_execute_job", chaotic_job)
+    monkeypatch.setattr(CompiledSystem, "solve_replacements", chaotic_batch)
     result = FaultInjectionCampaign(
         model,
         reliability,
         assume_stable=SYSTEM_B_ASSUMED_STABLE,
-        workers=4,
-        max_retries=3,
-        retry_backoff=0.001,
+        max_retries=MAX_RETRIES,
+        retry_backoff=0.0,
     ).run()
-    kills = sum(pool.kills for pool in pools)
-    # Whatever the kill pattern — including a zero-progress collapse into
-    # the serial fallback — every healthy job's row must match the clean
-    # serial run exactly, and no job may be silently dropped.
-    assert result.stats.rows == clean_serial.stats.rows
-    if result.failures:
-        # Only repeatedly-killed single-job chunks may fail out, and each
-        # failure must be structured and accounted.
-        assert all(f.kind == "worker_lost" for f in result.failures)
-        assert result.stats.job_failures == len(result.failures)
-        failed = {(f.component, f.failure_mode) for f in result.failures}
-        for expected, actual in zip(clean_serial.rows, result.rows):
-            if (actual.component, actual.failure_mode) in failed:
-                continue
-            assert (expected.component, expected.effect) == (
-                actual.component,
-                actual.effect,
-            )
-    else:
-        assert_rows_identical(clean_serial, result)
-    if kills:
-        assert result.stats.retries > 0 or result.stats.parallel_fallback
+
+    # Exactly one structured failure per poisoned job, and no other.
+    assert sorted(f.index for f in result.failures) == sorted(poisoned)
+    assert result.stats.job_failures == len(poisoned)
+    # Every blip was retried to success.
+    assert not any(left.values())
+    assert result.stats.retries >= sum(blips.values())
+    # Rows of the jobs that were not poisoned equal the clean run's.
+    failed = {(f.component, f.failure_mode) for f in result.failures}
+    assert len(result.rows) == len(clean.rows)
+    for expected, actual in zip(clean.rows, result.rows):
+        if (actual.component, actual.failure_mode) in failed:
+            assert actual.impact == "DVF" and actual.safety_related
+            continue
+        assert_row_identical(expected, actual)

@@ -1,11 +1,11 @@
 """Campaign-engine equivalence: the acceptance gate for the batched
 fault-injection engine.
 
-Whatever the execution strategy — serial naive re-assembly (the historical
-``run_simulink_fmea`` behaviour), incremental solves through a shared
-:class:`~repro.circuit.CompiledSystem`, or a multi-process pool — the
-campaign must produce row-for-row identical FMEA results on the paper's
-power-supply case study and the synthetic System A/B power networks.
+Whatever the solve mode — naive re-assembly (the historical
+``run_simulink_fmea`` behaviour) or incremental batched solves through a
+shared :class:`~repro.circuit.CompiledSystem` — the campaign must produce
+row-for-row identical FMEA results on the paper's power-supply case study
+and the synthetic System A/B power networks.
 
 "Identical" here means: every discrete field (classification, impact,
 effect text, warnings) matches exactly, and the recorded sensor deltas
@@ -61,7 +61,7 @@ def _build_case(name):
 
 @pytest.fixture(scope="module")
 def campaign_results():
-    """Each case study run naive / incremental / parallel, computed once."""
+    """Each case study run naive / incremental, computed once."""
     results = {}
     for name in CASE_NAMES:
         model, reliability, stable = _build_case(name)
@@ -69,7 +69,6 @@ def campaign_results():
         for label, kwargs in (
             ("naive", {"incremental": False}),
             ("incremental", {}),
-            ("parallel", {"workers": 2}),
         ):
             runs[label] = FaultInjectionCampaign(
                 model, reliability, assume_stable=stable, **kwargs
@@ -110,12 +109,6 @@ def assert_rows_identical(reference, other):
 def test_incremental_matches_naive(campaign_results, case):
     runs = campaign_results[case]
     assert_rows_identical(runs["naive"], runs["incremental"])
-
-
-@pytest.mark.parametrize("case", CASE_NAMES)
-def test_parallel_matches_naive(campaign_results, case):
-    runs = campaign_results[case]
-    assert_rows_identical(runs["naive"], runs["parallel"])
 
 
 @pytest.mark.parametrize("case", CASE_NAMES)

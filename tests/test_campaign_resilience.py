@@ -1,17 +1,15 @@
 """Fault-tolerant campaign execution: the acceptance gate for per-job
-isolation, retry/backoff, chunk-granular pool recovery and
+isolation, retry/backoff, deadlines, the batched presolve's fallback and
 checkpoint–resume.
 
-The contract under test: a campaign with poisoned jobs, killed worker
-chunks or a dead pool still completes, produces row-for-row identical
-rows for every *healthy* job versus a clean serial run, records each
-harness failure as exactly one structured ``JobFailure``, and a resumed
-run re-executes zero completed jobs.
+The contract under test: a campaign with poisoned jobs, runaway solves or
+a failing batch still completes, produces row-for-row identical rows for
+every *healthy* job versus a clean run, records each harness failure as
+exactly one structured ``JobFailure``, and a resumed run re-executes zero
+completed jobs.
 """
 
 import json
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -216,145 +214,6 @@ def test_circuit_level_errors_are_not_failures(case, clean_serial):
     assert_rows_identical(clean_serial, result)
 
 
-# -- chunk-granular pool recovery --------------------------------------------
-
-
-class _InlinePool:
-    """Pool double that runs chunks in-process and kills chosen submissions
-    with ``BrokenProcessPool`` — the shape of a dying worker as seen from
-    the parent."""
-
-    def __init__(self, kill_when):
-        self._kill_when = kill_when
-        self.submissions = 0
-
-    def submit(self, fn, chunk):
-        index = self.submissions
-        self.submissions += 1
-        future = Future()
-        if self._kill_when(index, chunk):
-            future.set_exception(BrokenProcessPool("worker died"))
-        else:
-            try:
-                future.set_result(fn(chunk))
-            except BaseException as exc:  # pragma: no cover - defensive
-                future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def _install_inline_pool(monkeypatch, kill_when):
-    """Replace the process pool with an in-process double.
-
-    The worker initializer runs inline (trace disabled: the double shares
-    the parent's obs registry, so a worker-side reset would wipe it).
-    """
-    state = {"pool": None, "inits": 0, "prime_solves": 0}
-
-    def fake_new_pool(self, conversion, size):
-        campaign_mod._campaign_worker_init(
-            conversion,
-            self.analysis,
-            self.t_stop,
-            self.dt,
-            self.incremental,
-            False,
-            self.retry_policy,
-            self.job_timeout,
-        )
-        state["inits"] += 1
-        compiled = campaign_mod._WORKER_STATE.get("compiled")
-        if compiled is not None:
-            # Each pool (re)creation primes a fresh compiled system; track
-            # those baseline solves so per-job solve counts can be compared
-            # against the serial run exactly.
-            state["prime_solves"] += compiled.stats.solves
-        pool = _InlinePool(kill_when)
-        state["pool"] = pool
-        return pool
-
-    monkeypatch.setattr(FaultInjectionCampaign, "_new_pool", fake_new_pool)
-    return state
-
-
-def test_killed_chunk_is_resubmitted_not_rerun_serially(
-    case, clean_serial, monkeypatch
-):
-    killed = {"done": False}
-
-    def kill_first(index, chunk):
-        if not killed["done"]:
-            killed["done"] = True
-            return True
-        return False
-
-    state = _install_inline_pool(monkeypatch, kill_first)
-    result = _campaign(case, workers=2).run()
-    assert killed["done"]
-    assert result.failures == []
-    assert result.stats.retries > 0
-    assert result.stats.parallel_fallback is False
-    assert_rows_identical(clean_serial, result)
-    # The killed chunk never executed, so aside from the per-pool baseline
-    # priming solves, per-job solver work must equal the clean serial
-    # run's (one priming solve) — nothing double-counted on resubmission.
-    assert (
-        result.stats.solves - state["prime_solves"]
-        == clean_serial.stats.solves - 1
-    )
-    assert result.stats.jobs == clean_serial.stats.jobs
-
-
-def test_repeatedly_dying_worker_bisects_out_poisoned_job(
-    case, clean_serial, monkeypatch
-):
-    # Any chunk containing job 0 kills its worker: retries are spent, the
-    # chunk is bisected, and finally job 0 alone is failed out while every
-    # other job completes in the pool.
-    _install_inline_pool(
-        monkeypatch,
-        lambda index, chunk: any(job.index == 0 for job in chunk),
-    )
-    result = _campaign(case, workers=2, max_retries=1).run()
-    assert len(result.failures) == 1
-    failure = result.failures[0]
-    assert failure.index == 0
-    assert failure.kind == "worker_lost"
-    assert failure.exception == "BrokenProcessPool"
-    assert result.stats.parallel_fallback is False
-    assert result.stats.retries > 0
-    assert_healthy_rows_match(clean_serial, result)
-
-
-def test_dead_pool_degrades_to_serial_with_requested_workers(
-    case, clean_serial, monkeypatch
-):
-    _install_inline_pool(monkeypatch, lambda index, chunk: True)
-    result = _campaign(case, workers=3).run()
-    assert result.stats.parallel_fallback is True
-    assert result.stats.workers == 1
-    assert result.stats.requested_workers == 3
-    assert result.failures == []
-    assert_rows_identical(clean_serial, result)
-    assert result.stats.solves == clean_serial.stats.solves
-
-
-def test_unavailable_pool_keeps_requested_workers_field(
-    case, clean_serial, monkeypatch
-):
-    def no_pool(self, conversion, size):
-        raise OSError("no process pools in this environment")
-
-    monkeypatch.setattr(FaultInjectionCampaign, "_new_pool", no_pool)
-    result = _campaign(case, workers=4).run()
-    assert result.stats.parallel_fallback is True
-    assert result.stats.workers == 1
-    assert result.stats.requested_workers == 4
-    assert_rows_identical(clean_serial, result)
-
-
 # -- checkpoint / resume -----------------------------------------------------
 
 
@@ -442,6 +301,29 @@ def test_checkpoint_invalidated_by_model_change(case, tmp_path):
     assert other.stats.resumed_jobs == 0
 
 
+def test_fingerprint_recomputed_per_run():
+    """The checkpoint key follows the model: mutating it between ``run()``
+    calls (the DECISIVE / service-tenant workflow) must not keep matching
+    the old model's checkpoint."""
+    model = build_power_supply_simulink()
+    campaign = FaultInjectionCampaign(
+        model, power_supply_reliability(), assume_stable=ASSUMED_STABLE,
+    )
+    campaign.run()
+    first = campaign._run_fingerprint()
+    model.block("DC1").set_param("voltage", 6.0)
+    campaign.run()
+    assert campaign._run_fingerprint() != first
+
+
+def test_unmutated_rerun_keeps_the_fingerprint(case):
+    campaign = _campaign(case)
+    campaign.run()
+    first = campaign._run_fingerprint()
+    campaign.run()
+    assert campaign._run_fingerprint() == first
+
+
 def test_resume_without_checkpoint_is_an_error(case):
     model, reliability = case
     from repro.safety.fmea import FmeaError
@@ -453,34 +335,34 @@ def test_resume_without_checkpoint_is_an_error(case):
 # -- the ISSUE's combined acceptance scenario --------------------------------
 
 
-def test_acceptance_poisoned_job_plus_killed_chunk_plus_resume(
+def test_acceptance_poisoned_job_plus_resume(
     case, clean_serial, tmp_path, monkeypatch
 ):
     path = tmp_path / "campaign.ckpt.jsonl"
-    killed = {"done": False}
+    blips = {"left": 1}
 
-    def kill_one_chunk(index, chunk):
-        # Kill one healthy chunk once (transient worker death) — chosen as
-        # the first chunk not containing the poisoned job.
-        if not killed["done"] and all(job.index != 0 for job in chunk):
-            killed["done"] = True
+    def should_fail(job):
+        if job.index == 0:
+            return True
+        # One transient blip on a healthy job, retried to success.
+        if job.index == 1 and blips["left"]:
+            blips["left"] -= 1
             return True
         return False
 
     _poison(
         monkeypatch,
-        lambda job: job.index == 0,
-        lambda job: RuntimeError("forced solver exception"),
+        should_fail,
+        lambda job: (
+            RuntimeError("forced solver exception") if job.index == 0
+            else np.linalg.LinAlgError("blip")
+        ),
     )
-    _install_inline_pool(monkeypatch, kill_one_chunk)
-    result = _campaign(
-        case, workers=2, max_retries=2, checkpoint=path
-    ).run()
-    assert killed["done"]
+    result = _campaign(case, max_retries=2, checkpoint=path).run()
     # ... the campaign completes with exactly one structured JobFailure,
     assert len(result.failures) == 1
     assert result.failures[0].index == 0
-    assert result.stats.retries > 0
+    assert result.stats.retries == 1
     # ... healthy jobs row-for-row identical to the clean serial run,
     assert_healthy_rows_match(clean_serial, result)
     # ... and a --resume invocation re-executes zero completed jobs.
@@ -620,7 +502,6 @@ def test_retry_and_failure_metrics_published(case, monkeypatch):
     obs.enable()
     result = _campaign(case).run()
     assert obs.counter("campaign_job_failures").value == 1
-    assert obs.gauge("campaign_requested_workers").value == 1
     names = {record.name for record in obs.tracer().records()}
     assert "campaign.job" in names
     assert result.stats.job_failures == 1
@@ -692,27 +573,35 @@ def test_poisoned_fault_in_batch_is_exactly_one_failure(
     assert_healthy_rows_match(clean_serial, result)
 
 
-def test_inline_pool_batches_each_chunk_once(case, clean_serial, monkeypatch):
-    """Each pool chunk presolves its jobs as one batch; per-fault counters
-    add up to the serial run's, with nothing double-counted."""
+@pytest.mark.parametrize("backend", [None, "sparse"])
+def test_batch_overrunning_its_deadline_degrades_to_per_job_solves(
+    case, clean_serial, monkeypatch, backend
+):
+    """The batched presolve runs under the sum of the per-job budgets; a
+    batch cut off by it counts nothing and leaves the compiled system as
+    it was, so every job then solves alone: same rows, same per-fault
+    counters, no failure."""
+    import time as time_mod
+
     from repro.circuit import CompiledSystem
 
+    reference = _campaign(case, solver_backend=backend).run()
     real = CompiledSystem.solve_replacements
-    batches = []
+    overruns = []
 
-    def spy(self, faults):
+    def overrunning(self, faults):
+        solutions = real(self, faults)
         if len(faults) > 1:
-            batches.append(len(faults))
-        return real(self, faults)
+            overruns.append(len(faults))
+            time_mod.sleep(30.0)
+        return solutions
 
-    monkeypatch.setattr(CompiledSystem, "solve_replacements", spy)
-    state = _install_inline_pool(monkeypatch, lambda index, chunk: False)
-    result = _campaign(case, workers=2).run()
-    assert result.stats.parallel_fallback is False
-    assert len(batches) == 2 and sum(batches) == result.stats.jobs
+    monkeypatch.setattr(CompiledSystem, "solve_replacements", overrunning)
+    started = time_mod.perf_counter()
+    result = _campaign(case, solver_backend=backend, job_timeout=0.05).run()
+    assert time_mod.perf_counter() - started < 10.0
+    assert overruns == [result.stats.jobs]
+    assert result.failures == []
+    assert result.stats.timeouts == 0
     assert_rows_identical(clean_serial, result)
-    parallel, serial = _counters(result.stats), _counters(clean_serial.stats)
-    # One priming baseline per pool instead of the serial run's one.
-    assert parallel["solves"] - state["prime_solves"] == serial["solves"] - 1
-    for name in ("smw_solves", "full_rebuilds", "baseline_reuses"):
-        assert parallel[name] == serial[name], name
+    assert _counters(result.stats) == _counters(reference.stats)

@@ -6,7 +6,7 @@ Acceptance surface from the correlation PR:
 - two concurrent analysis-service jobs stream disjoint, correctly-ordered
   event sequences on their own ``/jobs/<id>/events`` endpoints;
 - every event and ledger entry a job produces carries the job's
-  correlation id, pool-worker events included;
+  correlation id;
 - a forced failure burst flips the ``/healthz`` SLO section to
   ``breached``, and ``watch-regressions`` fails on a run recorded while
   the budget was burning.
@@ -150,18 +150,6 @@ class TestEventCid:
         assert len(view) == 4
         assert [e.payload["index"] for e in view] == [6, 7, 8, 9]
 
-    def test_ingest_preserves_cid(self):
-        worker = EventBus()
-        worker.emit("from-worker", {"x": 1}, cid="c" * 16)
-        shipped = worker.drain_dicts()
-        parent = EventBus()
-        parent.emit("parent-first", {})
-        parent.ingest(shipped)
-        ingested = parent.events(cid="c" * 16)
-        assert [e.type for e in ingested] == ["from-worker"]
-        assert ingested[0].seq == 2  # re-sequenced after the parent event
-
-
 # -- spans -------------------------------------------------------------------
 
 
@@ -184,18 +172,6 @@ class TestSpanCorrelation:
                 pass
         (record,) = obs.tracer().records()
         assert record.attrs["correlation_id"] == "0" * 16
-
-    def test_cid_attr_survives_worker_drain_ingest(self):
-        obs.enable()
-        with obs.correlation("e" * 16):
-            with obs.span("worker-side"):
-                pass
-        payload = obs.drain_worker_data()
-        assert payload["spans"]
-        obs.ingest_worker_data(payload)
-        (record,) = obs.tracer().records()
-        assert record.attrs["correlation_id"] == "e" * 16
-
 
 # -- structured logs: the bus's log view ------------------------------------
 
@@ -235,22 +211,6 @@ class TestStructuredLog:
         )
         assert sorted(bare) == ["level", "message", "pid", "seq", "ts"]
 
-    def test_drain_ingest_resequences_preserving_origin(self):
-        worker = EventBus()
-        record = worker.log("warning", "pool trouble", cid="c" * 16)
-        shipped = worker.drain_dicts()
-        assert worker.logs() == []
-        parent = EventBus()
-        parent.log("info", "parent line")
-        parent.ingest(shipped)
-        records = parent.logs()
-        assert [r.seq for r in records] == [1, 2]
-        assert records[1].message == "pool trouble"
-        assert records[1].level == "warning"
-        assert (records[1].ts, records[1].pid, records[1].cid) == (
-            record.ts, record.pid, "c" * 16,
-        )
-
     def test_obs_log_is_gated_and_stamps_cid(self):
         with obs.correlation("d" * 16):
             obs.log("info", "dropped while disabled")
@@ -261,21 +221,6 @@ class TestStructuredLog:
         (record,) = obs.event_bus().logs()
         assert record.cid == "d" * 16
         assert record.payload == {"detail": 1}
-
-    def test_logs_ride_the_worker_delta_protocol(self):
-        obs.enable()
-        obs.enable_events()
-        with obs.correlation("b" * 16):
-            obs.emit_event("worker_heartbeat", chunk_jobs=1)
-            obs.log("error", "worker-side failure")
-        payload = obs.drain_worker_data()
-        assert sorted(payload) == ["events", "metrics", "spans"]
-        assert obs.event_bus().logs() == []
-        obs.ingest_worker_data(payload)
-        (record,) = obs.event_bus().logs()
-        assert record.message == "worker-side failure"
-        assert record.cid == "b" * 16
-        assert [e.type for e in obs.event_bus().events()] == ["worker_heartbeat"]
 
     def test_record_round_trip(self):
         record = Event(seq=3, type="log", ts=1.5, pid=7, payload={"k": "v"},
@@ -478,8 +423,7 @@ class TestConsoleProgressEta:
         progress(_chunk(1, 2, 5.0))
         progress(_chunk(2, 2, 1.0))
         progress(Event(seq=10, type="campaign_started", ts=0.0, pid=1,
-                       payload={"system": "s", "analysis": "dc", "jobs": 1,
-                                "workers": 1, "strategy": "fixed"}))
+                       payload={"system": "s", "analysis": "dc", "jobs": 1}))
         progress(_chunk(1, 1, 0.5))
         assert "eta=--:--" in stream.getvalue().splitlines()[-1]
 
@@ -573,7 +517,7 @@ class TestWatchRegressionsSlo:
             assert watch_regressions(diff) == []
 
 
-# -- campaign + pool-worker correlation --------------------------------------
+# -- campaign correlation ----------------------------------------------------
 
 
 class TestCampaignCorrelation:
@@ -604,28 +548,6 @@ class TestCampaignCorrelation:
             ledger = AnalysisLedger(tmp_path / "ledger.jsonl")
             entry = record_fmea(ledger, result, model=psu_simulink)
         assert entry.meta["correlation_id"] == cid
-
-    def test_pool_worker_events_carry_the_campaign_cid(
-        self, psu_simulink, psu_reliability
-    ):
-        from repro.safety import pool
-        from repro.safety.campaign import FaultInjectionCampaign
-
-        pool.shutdown_all()  # cold pool: workers must initialise with cid
-        obs.enable_events()
-        cid = obs.mint_correlation_id()
-        FaultInjectionCampaign(
-            psu_simulink, psu_reliability, sensors=["CS1"],
-            assume_stable=ASSUMED_STABLE, workers=2, correlation_id=cid,
-        ).run()
-        events = obs.event_bus().events()
-        heartbeats = [e for e in events if e.type == "worker_heartbeat"]
-        if not heartbeats:
-            pytest.skip("campaign fell back to serial on this runner")
-        parent_pid = events[0].pid
-        assert any(e.pid != parent_pid for e in heartbeats)
-        assert all(e.cid == cid for e in heartbeats)
-        assert all(e.cid == cid for e in events)
 
     def test_ledger_digest_ignores_the_correlation_stamp(
         self, tmp_path, psu_simulink, psu_reliability, psu_fmea

@@ -119,6 +119,29 @@ class TestRequestValidation:
         assert base.cache_key() != tweaked.cache_key()
 
 
+class TestLegacyExecutionKeys:
+    def test_workers_and_strategy_are_accepted_and_ignored(
+        self, tmp_path, fmea_payload
+    ):
+        """Payloads written for the removed process-pool options still
+        run: ``workers``/``strategy`` change neither key nor any row."""
+        legacy = json.loads(json.dumps(fmea_payload))
+        legacy["config"].update(workers=4, strategy="auto")
+        plain_request = AnalysisRequest.from_payload(fmea_payload)
+        legacy_request = AnalysisRequest.from_payload(legacy)
+        assert legacy_request.cache_key() == plain_request.cache_key()
+        assert legacy_request.fmea_key() == plain_request.fmea_key()
+        rows = []
+        for name, payload in (("plain", fmea_payload), ("legacy", legacy)):
+            with AnalysisService(tmp_path / f"{name}.jsonl", workers=1) as svc:
+                job = _finish(svc, svc.submit(payload))
+                assert job.state == "done", job.error
+                assert job.cached is False
+                assert job.cache_key == plain_request.cache_key()
+                rows.append(job.result["rows"])
+        assert rows[0] == rows[1]
+
+
 # -- lifecycle ---------------------------------------------------------------
 
 
