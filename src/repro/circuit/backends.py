@@ -1,12 +1,12 @@
 """Pluggable linear-solver backends for the MNA engine.
 
-The solver core used to be welded to dense LAPACK (``scipy.linalg.lu_factor``
-/ ``lu_solve``).  That is the right call for the paper's case studies (tens
-of unknowns) but inverts the scaling story on generated 1k–10k-element
-grids, where the MNA matrix is overwhelmingly sparse.  This module makes the
-factorization engine a pluggable *backend*:
+The solver core used to be welded to dense LAPACK LU.  That is the right
+call for the paper's case studies (tens of unknowns) but inverts the
+scaling story on generated 1k–10k-element grids, where the MNA matrix is
+overwhelmingly sparse.  This module makes the factorization engine a
+pluggable *backend*:
 
-- ``dense`` — LAPACK LU (``getrf``/``getrs``), exactly the historical path;
+- ``dense`` — LAPACK LU (``getrf``/``getrs``), single-threaded;
 - ``sparse`` — ``scipy.sparse`` CSC assembly + SuperLU (``splu``), with
   multi-RHS solves: one factorization, a matrix whose columns are the
   right-hand sides, solved in a single call.
@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs as _get_lapack_funcs
-from scipy.linalg import lu_factor as _lu_factor
 
 from repro import obs
 from repro.circuit.netlist import CircuitError
@@ -53,7 +52,6 @@ __all__ = [
     "FactorizationCache",
     "factorize",
     "factorize_triplets",
-    "getrs_solver",
     "triplets_to_dense",
     "triplets_to_csc",
     "resolve_backend",
@@ -134,49 +132,49 @@ class Factorization:
         raise NotImplementedError
 
 
-def getrs_solver(lu: np.ndarray, piv: np.ndarray):
-    """A low-overhead ``A⁻¹ b`` closure over a ``lu_factor`` result.
-
-    ``scipy.linalg.lu_solve`` pays tens of microseconds of Python wrapper
-    per call (dispatch, validation plumbing) — more than the O(n²)
-    triangular solves themselves at MNA sizes.  This binds LAPACK
-    ``getrs`` directly and converts the factors to Fortran order once, so
-    no per-call copy of the factorization remains.  Raises
-    :class:`FactorizationError` on a nonzero LAPACK ``info``.
-    """
-    lu = np.asfortranarray(lu)
-    (getrs,) = _get_lapack_funcs(("getrs",), (lu,))
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            x, info = getrs(lu, piv, rhs)
-        if info != 0:
-            raise FactorizationError(f"getrs failed (info={info})")
-        return x
-
-    return solve
+#: ``getrf``/``getrs`` bound once for the MNA dtypes (real DC/transient,
+#: complex AC): ``get_lapack_funcs`` costs more than a small solve.
+_LAPACK = {
+    np.dtype(dtype).char: _get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
+    for dtype in (float, complex)
+}
 
 
 class DenseFactorization(Factorization):
-    """LAPACK LU (``getrf``) — the historical dense path."""
+    """LAPACK LU (``getrf``/``getrs``), bound directly.
 
-    __slots__ = ("_lu", "_solve", "size")
+    ``np.linalg.solve`` (``gesv``) wakes the BLAS thread pool from about
+    100 unknowns, and that pool keeps a second core spinning after the
+    call returns; ``scipy.linalg.lu_factor`` only *warns* on an exactly
+    singular matrix and ``lu_solve`` pays tens of microseconds of wrapper
+    per call.  This binds the two LAPACK routines once and calls them
+    single-threaded.  The row-major matrix is handed to ``getrf`` as its
+    column-major transpose (no copy) and solved with ``trans=1``.
+
+    Raises :class:`FactorizationError` on a nonzero LAPACK ``info`` (an
+    exactly zero pivot), as SuperLU does.  ``overwrite=True`` lets the
+    factorization reuse ``matrix``'s storage (the caller's matrix is then
+    garbage).
+    """
+
+    __slots__ = ("_lu", "_piv", "_getrs", "size")
 
     backend = "dense"
 
-    def __init__(self, matrix: np.ndarray) -> None:
+    def __init__(self, matrix: np.ndarray, overwrite: bool = False) -> None:
         self.size = int(matrix.shape[0])
-        try:
-            with np.errstate(all="ignore"):
-                self._lu = _lu_factor(matrix, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            # LinAlgError: singular; ValueError: non-finite entries rejected
-            # by the factorizer.  Both mean "no reusable factorization".
-            raise FactorizationError(str(exc)) from None
-        self._solve = getrs_solver(*self._lu)
+        getrf, self._getrs = _LAPACK.get(matrix.dtype.char) or (
+            _get_lapack_funcs(("getrf", "getrs"), dtype=matrix.dtype)
+        )
+        self._lu, self._piv, info = getrf(matrix.T, overwrite_a=overwrite)
+        if info != 0:
+            raise FactorizationError(f"singular matrix (getrf info={info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(rhs)
+        x, info = self._getrs(self._lu, self._piv, rhs, trans=1)
+        if info != 0:
+            raise FactorizationError(f"getrs failed (info={info})")
+        return x
 
 
 class SparseFactorization(Factorization):
@@ -243,9 +241,9 @@ def factorize(matrix, backend: str) -> Factorization:
     if backend == "sparse":
         factorization: Factorization = SparseFactorization(matrix)
     elif backend == "dense":
-        from scipy.sparse import issparse
-
-        if issparse(matrix):
+        # A scipy sparse matrix has ``toarray``; testing for it keeps dense
+        # solves from importing scipy.sparse.
+        if hasattr(matrix, "toarray"):
             matrix = matrix.toarray()
         factorization = DenseFactorization(np.asarray(matrix))
     else:

@@ -3,32 +3,38 @@
 Unknowns are the non-ground node voltages plus one branch current per
 voltage-like element (voltage sources, ammeters and — at DC — inductors,
 which behave as 0 V branches in series with their parasitic resistance).
-Nonlinear diodes are solved by damped Newton iteration with pn-junction
-voltage limiting.  A small ``gmin`` conductance from every node to ground
-keeps matrices regular when fault injection leaves nodes floating (an *open*
-failure must still produce a solution: the sensors simply read ~0).
+Nonlinear diodes are solved by Newton iteration under one policy shared by
+every solve loop here and in :mod:`repro.circuit.transient`: SPICE-style
+``pnjlim`` junction limiting (forward steps above a junction's critical
+voltage are log-limited, reverse steps are free), a stop once no diode
+bias moves by more than :data:`_NEWTON_TOLERANCE`, and a cap of
+:data:`_MAX_NEWTON_ITERATIONS`.  A small ``gmin`` conductance from every
+node to ground keeps matrices regular when fault injection leaves nodes
+floating (an *open* failure must still produce a solution: the sensors
+simply read ~0).
 
 Two performance layers sit on top of the plain solver:
 
 - :class:`_System` caches the *constant* part of the assembly (all linear
   stamps plus the independent-source RHS), so Newton iteration only
-  re-stamps the diode companion models on a copy of the cached matrix;
+  re-stamps the diode companion models — through index arrays built once
+  (:class:`_Junctions`) — on a copy of the cached matrix;
 - :class:`CompiledSystem` additionally caches the LU factorization of the
   constant matrix and solves batches of single-element replacements (the
   fault-injection workload) through low-rank Sherman–Morrison–Woodbury
   updates of that factorization, all of a batch's Newton iterations in
   lockstep, with an exact fallback to full re-assembly whenever a
-  replacement changes the topology or its update fails a check.
+  replacement changes the topology, opens a bridge of the stiff-element
+  graph, or its update fails a check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor as _lu_factor
 
 from repro import obs
 from repro.circuit import backends as _backends
@@ -50,10 +56,18 @@ from repro.circuit.netlist import (
 #: Ground aliases accepted in netlists.
 GROUND_NAMES = (GROUND, "GND", "gnd", "ground")
 
+#: Newton iterations (lockstep passes) before a solve gives up.
 _MAX_NEWTON_ITERATIONS = 200
+#: Newton stops once no diode bias moves by more than this many volts.
 _NEWTON_TOLERANCE = 1e-9
+#: The diode bias a cold Newton iteration starts from, in volts.
+_COLD_BIAS = 0.6
+#: Floor of a diode companion's conductance.  Well below gmin: a floor
+#: equal to gmin makes a reverse-biased diode on a gmin-held island close
+#: only half its remaining distance per Newton step (System B's ``F0A``
+#: rebuild: 30 extra iterations); gmin already keeps the matrix regular.
+_MIN_JUNCTION_CONDUCTANCE = 1e-15
 _DEFAULT_GMIN = 1e-12
-_MAX_DIODE_STEP = 0.5  # volts per Newton step, for convergence
 
 #: How many times a singular solve may retry with a stronger gmin.
 _MAX_GMIN_RETRIES = 2
@@ -83,6 +97,155 @@ _DIRECT_MAX_SIZE = 48
 
 def _is_ground(node: str) -> bool:
     return node in GROUND_NAMES
+
+
+# ---------------------------------------------------------------------------
+# The Newton policy: companion models, junction limiting, step test, cap
+# ---------------------------------------------------------------------------
+
+
+def _critical_voltage(i_sat: np.ndarray, n_vt: np.ndarray) -> np.ndarray:
+    """``pnjlim``'s critical voltage ``n·V_T·ln(n·V_T / (√2·I_s))``: above
+    it the exponential bends so sharply that a full Newton step overshoots."""
+    return n_vt * np.log(n_vt / (math.sqrt(2.0) * i_sat))
+
+
+def _companions(
+    bias: np.ndarray, i_sat: np.ndarray, n_vt: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Linearised diodes at ``bias``: (conductance, equivalent current)."""
+    vd = np.minimum(bias, 2.0)  # exp() overflow guard
+    exp_term = np.exp(vd / n_vt)
+    conductance = np.maximum(
+        i_sat * exp_term / n_vt, _MIN_JUNCTION_CONDUCTANCE
+    )
+    return conductance, i_sat * (exp_term - 1.0) - conductance * vd
+
+
+def _limit_junctions(
+    old: np.ndarray, new: np.ndarray, n_vt: np.ndarray, v_crit: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One Newton update of diode biases (elementwise; rows on the last axis).
+
+    SPICE ``pnjlim``: a forward step of more than ``2·n·V_T`` that ends
+    above the critical voltage moves only ``n·V_T·ln(1 + Δ/(n·V_T))`` (from
+    a zero or reverse bias: to ``n·V_T·ln(v/(n·V_T))``), so a junction
+    climbs the exponential without overshooting it; reverse steps are
+    free, so a junction swinging tens of volts into cutoff gets there in
+    one step.  Returns the next biases and, per row, whether every raw
+    step was within :data:`_NEWTON_TOLERANCE`.
+    """
+    step = new - old
+    converged = ~(np.abs(step) > _NEWTON_TOLERANCE).any(axis=-1)
+    forward = (step > 2.0 * n_vt) & (new > v_crit)
+    if forward.any():
+        limited = np.where(
+            old > 0.0,
+            old + n_vt * np.log1p(np.maximum(step, 0.0) / n_vt),
+            n_vt * np.log(np.maximum(new, n_vt) / n_vt),
+        )
+        new = np.where(forward, limited, new)
+    return new, converged
+
+
+class _Junctions:
+    """A set of diodes of one MNA system as index arrays.
+
+    Built once per diode set, so a Newton iteration reads the biases,
+    evaluates the companions, stamps them and limits the step in a fixed
+    handful of array operations, however many diodes there are.
+    """
+
+    __slots__ = (
+        "count", "i_sat", "n_vt", "v_crit", "_ends", "_live", "_flat",
+        "_rows", "_cols", "_owner", "_sign", "_rhs_rows", "_rhs_owner",
+        "_rhs_sign",
+    )
+
+    def __init__(self, system: "_System", diodes: Sequence[Diode]) -> None:
+        self.count = len(diodes)
+        self.i_sat = np.array([d.saturation_current for d in diodes])
+        self.n_vt = np.array([d.ideality * d.thermal_voltage for d in diodes])
+        self.v_crit = _critical_voltage(self.i_sat, self.n_vt)
+        pos = [system._idx(d.node_pos) for d in diodes]
+        neg = [system._idx(d.node_neg) for d in diodes]
+        # Bias = x[pos] - x[neg]; a grounded end reads x[-1] with weight 0.
+        self._ends = np.array(
+            [[-1 if i is None else i for i in side] for side in (pos, neg)],
+            dtype=np.intp,
+        ).reshape(2, -1)
+        self._live = np.array(
+            [[0.0 if i is None else weight for i in side]
+             for side, weight in ((pos, 1.0), (neg, -1.0))]
+        ).reshape(2, -1)
+        # Companion stamps, each owned by one diode: (row, col, sign) per
+        # matrix entry and (row, sign) per RHS entry.
+        matrix: List[Tuple[int, int, float, int]] = []
+        rhs: List[Tuple[int, float, int]] = []
+        for m, (i, j) in enumerate(zip(pos, neg)):
+            if i is not None:
+                matrix.append((i, i, 1.0, m))
+                rhs.append((i, -1.0, m))
+            if j is not None:
+                matrix.append((j, j, 1.0, m))
+                rhs.append((j, 1.0, m))
+            if i is not None and j is not None:
+                matrix += [(i, j, -1.0, m), (j, i, -1.0, m)]
+        stamps = np.array(matrix, dtype=float).reshape(-1, 4).T
+        self._rows, self._cols, self._owner = stamps[[0, 1, 3]].astype(np.intp)
+        self._sign = stamps[2]
+        self._flat = self._rows * system.size + self._cols
+        stamps = np.array(rhs, dtype=float).reshape(-1, 3).T
+        self._rhs_rows, self._rhs_owner = stamps[[0, 2]].astype(np.intp)
+        self._rhs_sign = stamps[1]
+
+    def biases(self, x: np.ndarray) -> np.ndarray:
+        """Anode-minus-cathode voltage of each diode in solution ``x``."""
+        ends = x[self._ends]
+        ends *= self._live
+        return ends[0] + ends[1]
+
+    def stamp_rhs(self, rhs: np.ndarray, ieq: np.ndarray) -> None:
+        """Add the companions' equivalent currents to ``rhs`` in place."""
+        np.add.at(rhs, self._rhs_rows, self._rhs_sign * ieq[self._rhs_owner])
+
+    def stamp_dense(self, matrix: np.ndarray, g: np.ndarray) -> None:
+        """Add the companions' conductances to ``matrix`` in place."""
+        np.add.at(matrix.reshape(-1), self._flat, self._sign * g[self._owner])
+
+    def stamped_csc(self, matrix, g: np.ndarray):
+        """``matrix`` (CSC) plus the companions' conductances."""
+        return matrix + _backends.triplets_to_csc(
+            matrix.shape[0],
+            (self._rows, self._cols, self._sign * g[self._owner]),
+        )
+
+
+_NO_DIODES = np.zeros(0)
+
+
+def _newton(junctions: _Junctions, bias: np.ndarray, linear):
+    """Newton iteration of one circuit under the shared policy.
+
+    ``linear(g, ieq)`` solves the MNA system with the diode companions
+    ``(g, ieq)`` stamped in and returns the solution vector, or ``None`` to
+    give up.  Returns ``(solution, iterations)``, or ``None`` when
+    ``linear`` gave up or :data:`_MAX_NEWTON_ITERATIONS` ran out.
+    """
+    if not junctions.count:
+        x = linear(_NO_DIODES, _NO_DIODES)
+        return None if x is None else (x, 1)
+    for iterations in range(1, _MAX_NEWTON_ITERATIONS + 1):
+        g, ieq = _companions(bias, junctions.i_sat, junctions.n_vt)
+        x = linear(g, ieq)
+        if x is None:
+            return None
+        bias, converged = _limit_junctions(
+            bias, junctions.biases(x), junctions.n_vt, junctions.v_crit
+        )
+        if converged:
+            return x, iterations
+    return None
 
 
 class DCSolution:
@@ -142,8 +305,8 @@ class _System:
     """Index assignment and matrix assembly for one netlist.
 
     The linear stamps (everything except the diode companion models) are
-    assembled once and cached; :meth:`assemble` applies the per-iteration
-    diode deltas to a copy.
+    assembled once and cached; Newton iterations stamp the diode companions
+    onto a copy through :meth:`junctions`.
     """
 
     def __init__(self, netlist: Netlist, gmin: float) -> None:
@@ -169,6 +332,7 @@ class _System:
         self._parts: Optional[Tuple[_backends.Triplets, np.ndarray]] = None
         self._constant: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._constant_csc = None
+        self._junctions: Optional[_Junctions] = None
 
     def _idx(self, node: str) -> Optional[int]:
         if _is_ground(node):
@@ -299,40 +463,11 @@ class _System:
             )
         return self._constant_csc
 
-    def assemble(
-        self, diode_voltages: Dict[str, float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        base_matrix, base_rhs = self.assemble_constant()
-        matrix = base_matrix.copy()
-        rhs = base_rhs.copy()
-        for diode in self.diodes:
-            g, ieq = self._diode_companion(
-                diode, diode_voltages.get(diode.name, 0.6)
-            )
-            self._stamp_conductance(matrix, diode.node_pos, diode.node_neg, g)
-            self._stamp_current(rhs, diode.node_pos, diode.node_neg, ieq)
-        return matrix, rhs
-
-    @staticmethod
-    def _diode_companion(diode: Diode, vd: float) -> Tuple[float, float]:
-        """Linearised (conductance, equivalent current) at bias ``vd``."""
-        n_vt = diode.ideality * diode.thermal_voltage
-        vd = min(vd, 2.0)  # clamp: exp() overflow guard
-        exp_term = math.exp(vd / n_vt)
-        current = diode.saturation_current * (exp_term - 1.0)
-        conductance = diode.saturation_current * exp_term / n_vt
-        conductance = max(conductance, 1e-12)
-        ieq = current - conductance * vd
-        return conductance, ieq
-
-    def diode_voltage(
-        self, solution: np.ndarray, diode: Diode
-    ) -> float:
-        def node_voltage(node: str) -> float:
-            idx = self._idx(node)
-            return 0.0 if idx is None else float(solution[idx])
-
-        return node_voltage(diode.node_pos) - node_voltage(diode.node_neg)
+    def junctions(self) -> _Junctions:
+        """All of this system's diodes as index arrays (built once)."""
+        if self._junctions is None:
+            self._junctions = _Junctions(self, self.diodes)
+        return self._junctions
 
     def to_solution(self, vector: np.ndarray, iterations: int) -> DCSolution:
         return DCSolution(
@@ -349,47 +484,6 @@ def system_size(netlist: Netlist) -> int:
     if len(netlist) == 0:
         return 0
     return _System(netlist, _DEFAULT_GMIN).size
-
-
-def _assemble_sparse(
-    system: _System, diode_voltages: Dict[str, float]
-) -> Tuple[object, np.ndarray]:
-    """CSC matrix + RHS with diode companions folded in (sparse backend).
-
-    The constant CSC is cached on the system; each Newton iteration only
-    adds the handful of diode companion stamps as a second sparse term.
-    """
-    matrix = system.assemble_constant_csc()
-    rhs = system.constant_rhs().copy()
-    if system.diodes:
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for diode in system.diodes:
-            g, ieq = system._diode_companion(
-                diode, diode_voltages.get(diode.name, 0.6)
-            )
-            i, j = system._idx(diode.node_pos), system._idx(diode.node_neg)
-            if i is not None:
-                rows.append(i)
-                cols.append(i)
-                vals.append(g)
-            if j is not None:
-                rows.append(j)
-                cols.append(j)
-                vals.append(g)
-            if i is not None and j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(-g)
-                rows.append(j)
-                cols.append(i)
-                vals.append(-g)
-            system._stamp_current(rhs, diode.node_pos, diode.node_neg, ieq)
-        matrix = matrix + _backends.triplets_to_csc(
-            system.size, (rows, cols, vals)
-        )
-    return matrix, rhs
 
 
 def dc_operating_point(
@@ -418,58 +512,49 @@ def dc_operating_point(
     if system.size == 0:
         raise CircuitError("netlist has no unknowns (everything grounded?)")
     resolved = _backends.resolve_backend(backend, system.size)
+    junctions = system.junctions()
+    base_rhs = system.constant_rhs()
+    if resolved == "sparse":
+        base_matrix = system.assemble_constant_csc()
+    else:
+        base_matrix = system.assemble_constant()[0]
 
-    diode_voltages: Dict[str, float] = {d.name: 0.6 for d in system.diodes}
-    solution = np.zeros(system.size)
-    iterations = 0
+    def linear(g: np.ndarray, ieq: np.ndarray) -> np.ndarray:
+        rhs = base_rhs.copy()
+        junctions.stamp_rhs(rhs, ieq)
+        if resolved == "sparse":
+            matrix = junctions.stamped_csc(base_matrix, g)
+        else:
+            matrix = base_matrix.copy()
+            junctions.stamp_dense(matrix, g)
+        return _backends.factorize(matrix, resolved).solve(rhs)
+
     with obs.span(
         "mna.newton",
         netlist=netlist.name,
         size=system.size,
         **{"solver.backend": resolved},
     ) as sp:
-        for iterations in range(1, _MAX_NEWTON_ITERATIONS + 1):
-            try:
-                if resolved == "sparse":
-                    matrix, rhs = _assemble_sparse(system, diode_voltages)
-                    new_solution = _backends.factorize(
-                        matrix, "sparse"
-                    ).solve(rhs)
-                else:
-                    matrix, rhs = system.assemble(diode_voltages)
-                    new_solution = np.linalg.solve(matrix, rhs)
-            except (np.linalg.LinAlgError, _backends.FactorizationError):
-                # Retry (a bounded number of times) with a stronger gmin.
-                stronger = max(gmin * 1e3, 1e-9)
-                if _retries_left > 0 and stronger > gmin:
-                    return dc_operating_point(
-                        netlist, gmin=stronger, backend=backend,
-                        _retries_left=_retries_left - 1,
-                    )
-                raise CircuitError(
-                    f"singular MNA matrix for netlist {netlist.name!r}"
-                ) from None
-            if not system.diodes:
-                solution = new_solution
-                break
-            converged = True
-            for diode in system.diodes:
-                old_vd = diode_voltages[diode.name]
-                new_vd = system.diode_voltage(new_solution, diode)
-                step = new_vd - old_vd
-                if abs(step) > _MAX_DIODE_STEP:
-                    new_vd = old_vd + math.copysign(_MAX_DIODE_STEP, step)
-                    converged = False
-                elif abs(step) > _NEWTON_TOLERANCE:
-                    converged = False
-                diode_voltages[diode.name] = new_vd
-            solution = new_solution
-            if converged:
-                break
-        else:
+        try:
+            result = _newton(
+                junctions, np.full(junctions.count, _COLD_BIAS), linear
+            )
+        except _backends.FactorizationError:
+            # Retry (a bounded number of times) with a stronger gmin.
+            stronger = max(gmin * 1e3, 1e-9)
+            if _retries_left > 0 and stronger > gmin:
+                return dc_operating_point(
+                    netlist, gmin=stronger, backend=backend,
+                    _retries_left=_retries_left - 1,
+                )
+            raise CircuitError(
+                f"singular MNA matrix for netlist {netlist.name!r}"
+            ) from None
+        if result is None:
             raise CircuitError(
                 f"Newton iteration did not converge for netlist {netlist.name!r}"
             )
+        solution, iterations = result
         sp.set(iterations=iterations)
 
     return system.to_solution(solution, iterations)
@@ -536,6 +621,63 @@ def _static_conductance(element: Element) -> Optional[float]:
     return None
 
 
+def _holds(element: Element) -> bool:
+    """Whether ``element`` holds its nodes at a definite potential: branch
+    elements (an extra KVL row), resistors and closed switches do; diodes
+    (possibly at cutoff), capacitors (open at DC), current sources and open
+    switches (1e9 Ω, a thousand times gmin) do not."""
+    if isinstance(element, Switch):
+        return element.closed
+    return isinstance(element, (Resistor, VoltageSource, Ammeter, Inductor))
+
+
+def _find_bridges(
+    vertices: int, edges: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """Indices of the bridges of a multigraph on ``range(vertices)``.
+
+    Iterative Tarjan: a DFS edge to ``v`` is a bridge when nothing below
+    ``v`` reaches back above it.  The walk skips only the edge it arrived
+    by, so a parallel edge counts as a way back.
+    """
+    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(vertices)]
+    for k, (a, b) in enumerate(edges):
+        adjacency[a].append((b, k))
+        adjacency[b].append((a, k))
+    order = [-1] * vertices
+    low = [0] * vertices
+    found: List[int] = []
+    visited = 0
+    for root in range(vertices):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        stack = [(root, -1, iter(adjacency[root]))]
+        while stack:
+            node, via, pending = stack[-1]
+            for neighbour, k in pending:
+                if k == via:
+                    continue
+                if order[neighbour] >= 0:
+                    if order[neighbour] < low[node]:
+                        low[node] = order[neighbour]
+                else:
+                    order[neighbour] = low[neighbour] = visited
+                    visited += 1
+                    stack.append((neighbour, k, iter(adjacency[neighbour])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                    if low[node] > order[parent]:
+                        found.append(via)
+    return found
+
+
 class CompiledSystem:
     """A netlist compiled for repeated solves under single-element faults.
 
@@ -550,10 +692,12 @@ class CompiledSystem:
     (columns = faults); a single fault is a batch of one.
 
     Whenever a fault changes the system topology (removing or retyping a
-    branch element, orphaning a node) or its updated solve fails a check,
-    it leaves the batch and :meth:`solve_replacement` re-assembles it
-    exactly via :func:`dc_operating_point`, so results never depend on the
-    fast path being applicable.
+    branch element, orphaning a node), opens a bridge of the stiff-element
+    graph (see :meth:`_bridges`) or its updated solve fails a check, it
+    leaves the batch and :meth:`solve_replacement` re-assembles it exactly
+    via :func:`dc_operating_point`, so results never depend on the fast
+    path being applicable.  A fault a batch declined goes straight to that
+    rebuild; it never runs through the lockstep twice.
     """
 
     def __init__(
@@ -572,32 +716,20 @@ class CompiledSystem:
         #: Concrete solver backend ('dense' | 'sparse') for this system.
         self.backend = _backends.resolve_backend(backend, self._system.size)
         self.stats = SolveStats()
-        self._lu = None
-        self._dense_solve = None
-        self._sparse_factor: Optional[_backends.Factorization] = None
+        self._lu: Optional[_backends.Factorization] = None
         self._lu_failed = False
         self._baseline: Optional[DCSolution] = None
         self._warm_vd: Optional[Dict[str, float]] = None
         #: A0^{-1} u for update directions, keyed by (pos index, neg index).
         self._column_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        #: Faults a batch left unsolved: they go straight to the rebuild.
+        self._declined: Set[Tuple[str, Optional[Element]]] = set()
+        self._bridge_names: Optional[FrozenSet[str]] = None
         self._node_refs: Dict[str, int] = {}
-        #: Per node, how many connections hold it at a definite potential:
-        #: branch elements (extra KVL row) or static conductances > 0.
-        #: Diodes at cutoff and capacitors (open at DC) do not count.
-        self._stiff_refs: Dict[str, int] = {}
         for element in netlist.elements():
-            if isinstance(element, (VoltageSource, Ammeter, Inductor)):
-                stiff = True
-            else:
-                static = _static_conductance(element)
-                stiff = static is not None and static > 0.0
             for node in element.nodes:
                 if not _is_ground(node):
                     self._node_refs[node] = self._node_refs.get(node, 0) + 1
-                    if stiff:
-                        self._stiff_refs[node] = (
-                            self._stiff_refs.get(node, 0) + 1
-                        )
 
     # -- public API -------------------------------------------------------
 
@@ -607,11 +739,7 @@ class CompiledSystem:
             plan = _UpdatePlan(diodes=tuple(self._system.diodes))
             solution = self._solve_plans([plan])[0]
             if solution is None:
-                self.stats.full_rebuilds += 1
-                solution = dc_operating_point(
-                    self.netlist, self.gmin, backend=self.backend
-                )
-                self.stats.solves += 1
+                solution = self._rebuild(self.netlist)
             self._baseline = solution
         return self._baseline
 
@@ -622,19 +750,26 @@ class CompiledSystem:
 
         A batch of one: solves through the cached factorization when the
         replacement only re-weights existing stamps, and falls back to
-        exact full re-assembly otherwise.
+        exact full re-assembly otherwise — at once for a fault an earlier
+        :meth:`solve_replacements` batch already declined.
         """
-        solution = self.solve_replacements([(name, replacement)])[0]
-        if solution is not None:
-            return solution
-        self.stats.full_rebuilds += 1
+        if (name, replacement) not in self._declined:
+            solution = self.solve_replacements([(name, replacement)])[0]
+            if solution is not None:
+                return solution
         with obs.span("mna.full_rebuild", element=name):
             if replacement is None:
                 fault = self.netlist.without(name)
             else:
                 fault = self.netlist.with_replacement(name, replacement)
-            solution = dc_operating_point(fault, self.gmin, backend=self.backend)
+            return self._rebuild(fault)
+
+    def _rebuild(self, netlist: Netlist) -> DCSolution:
+        """Exact full re-assembly of ``netlist``, counted in the stats."""
+        self.stats.full_rebuilds += 1
+        solution = dc_operating_point(netlist, self.gmin, backend=self.backend)
         self.stats.solves += 1
+        self.stats.newton_iterations += solution.iterations
         return solution
 
     def solve_replacements(
@@ -646,9 +781,9 @@ class CompiledSystem:
         identical to it returns the cached baseline itself, and the others
         are solved together by :meth:`_solve_plans`.  ``None`` marks a fault
         that changes the topology or failed a check of the low-rank route;
-        it needs full re-assembly (which :meth:`solve_replacement` does).
-        Solved faults read straight off one solution block, column ``k``
-        for fault ``k``.
+        it needs full re-assembly, which :meth:`solve_replacement` then does
+        without a second attempt.  Solved faults read straight off one
+        solution block, column ``k`` for fault ``k``.
         """
         plans = [self._plan_update(name, repl) for name, repl in faults]
         solutions: List[Optional[DCSolution]] = [None] * len(plans)
@@ -662,6 +797,10 @@ class CompiledSystem:
         solved = self._solve_plans([plans[k] for k in batch])
         for k, solution in zip(batch, solved):
             solutions[k] = solution
+        self._declined.update(
+            fault for fault, solution in zip(faults, solutions)
+            if solution is None
+        )
         return solutions
 
     def _solve_plans(
@@ -702,6 +841,16 @@ class CompiledSystem:
         the topology (the caller then re-assembles from scratch)."""
         original = self.netlist.element(name)
         system = self._system
+        if name in self._bridges() and (
+            replacement is None or not _holds(replacement)
+        ):
+            # Opening a bridge of the stiff-element graph (removing it, or
+            # replacing it by an open switch, a diode or a capacitor)
+            # strands an island held only by diodes, capacitors, open
+            # switches and gmin.  Its update cancels ~12 digits against the
+            # 1e12-stiff baseline (and the lockstep can oscillate to its
+            # cap), while the naive path computes the island directly.
+            return None
 
         # Branch elements own an extra unknown: only value tweaks that keep
         # the exact same stamps stay low-rank — a source voltage change, or
@@ -742,22 +891,12 @@ class CompiledSystem:
 
         if replacement is None:
             # Removal must not orphan a node: the naive path would drop it
-            # from the unknown vector, changing the system layout.  Nor may
-            # it leave an endpoint held only by gmin (remaining connections
-            # all diodes/capacitors) — the Woodbury capacitance matrix then
-            # cancels ~12 digits against the 1e12-stiff baseline inverse,
-            # while the naive path computes the near-floating node directly.
-            old_g = _static_conductance(original)
-            removes_stiffness = old_g is not None and old_g > 0.0
-            for node in original.nodes:
-                if not _is_ground(node):
-                    if self._node_refs.get(node, 0) <= 1:
-                        return None
-                    if (
-                        removes_stiffness
-                        and self._stiff_refs.get(node, 0) <= 1
-                    ):
-                        return None
+            # from the unknown vector, changing the system layout.
+            if any(
+                self._node_refs.get(node, 0) <= 1
+                for node in original.nodes if not _is_ground(node)
+            ):
+                return None
         elif set(replacement.nodes) != set(original.nodes):
             return None  # rewired: stamps touch different unknowns
 
@@ -828,31 +967,62 @@ class CompiledSystem:
             removed=name if replacement is None else None,
         )
 
+    def _bridges(self) -> FrozenSet[str]:
+        """Elements whose opening strands a gmin island (computed once).
+
+        The stiff-element graph has the circuit's nodes (ground as one
+        vertex) as vertices and, as edges, every element that holds its
+        nodes at a definite potential (:func:`_holds`).  Opening a bridge
+        of that graph leaves a component with no stiff path to ground — a
+        ``switch → fuse → ORing diode`` stub, say — and Tarjan's algorithm
+        finds all bridges in one O(V + E) pass.
+        """
+        if self._bridge_names is None:
+            system = self._system
+            ground = system.size  # one vertex past the node indices
+            names: List[str] = []
+            edges: List[Tuple[int, int]] = []
+            for element in self.netlist.elements():
+                if not _holds(element):
+                    continue
+                i = system._idx(element.node_pos)
+                j = system._idx(element.node_neg)
+                names.append(element.name)
+                edges.append(
+                    (ground if i is None else i, ground if j is None else j)
+                )
+            self._bridge_names = frozenset(
+                names[k] for k in _find_bridges(ground + 1, edges)
+            )
+        return self._bridge_names
+
     # -- the incremental solver -------------------------------------------
 
-    def _ensure_lu(self):
+    def _ensure_lu(self) -> _backends.Factorization:
+        """The cached factorization of the constant matrix (either backend).
+
+        A constant matrix that does not factorize (exactly singular)
+        latches "no reusable factorization": every solve then takes the
+        full-assembly path.
+        """
         if self._lu_failed:
             raise _SmwFallback
         if self._lu is None:
-            matrix, _ = self._system.assemble_constant()
+            system = self._system
+            matrix = (
+                system.assemble_constant_csc() if self.backend == "sparse"
+                else system.assemble_constant()[0]
+            )
             with obs.span(
                 "mna.factorize",
-                size=self._system.size,
-                **{"solver.backend": "dense"},
+                size=system.size,
+                **{"solver.backend": self.backend},
             ):
                 try:
-                    with np.errstate(all="ignore"):
-                        self._lu = _lu_factor(matrix, check_finite=False)
-                except (np.linalg.LinAlgError, ValueError) as exc:
-                    # LinAlgError: singular constant matrix; ValueError:
-                    # non-finite entries rejected by the factorizer.  Both
-                    # mean "this system has no reusable LU" — latch and let
-                    # every solve take the dense path.  Anything else is a
-                    # programming error and must propagate.
+                    self._lu = _backends.factorize(matrix, self.backend)
+                except _backends.FactorizationError as exc:
                     self._factorization_failed(exc)
                     raise _SmwFallback from None
-                if obs.enabled():
-                    obs.counter("mna_dense_factorizations").inc()
         return self._lu
 
     def _factorization_failed(self, exc: BaseException) -> None:
@@ -867,24 +1037,6 @@ class CompiledSystem:
             ):
                 pass
 
-    def _ensure_sparse(self) -> _backends.Factorization:
-        """The cached SuperLU factorization of the constant CSC matrix."""
-        if self._lu_failed:
-            raise _SmwFallback
-        if self._sparse_factor is None:
-            matrix = self._system.assemble_constant_csc()
-            with obs.span(
-                "mna.factorize",
-                size=self._system.size,
-                **{"solver.backend": "sparse"},
-            ):
-                try:
-                    self._sparse_factor = _backends.factorize(matrix, "sparse")
-                except _backends.FactorizationError as exc:
-                    self._factorization_failed(exc)
-                    raise _SmwFallback from None
-        return self._sparse_factor
-
     def _base_solve(self, block: np.ndarray) -> np.ndarray:
         """``A0⁻¹ block`` (a column per right-hand side) through the cached
         factorization.  SuperLU solves the block in one call.  The dense
@@ -894,11 +1046,12 @@ class CompiledSystem:
         2-core host: ~215 ms with block ``getrs``, ~120 ms per column).
         """
         try:
+            factorization = self._ensure_lu()
             if self.backend == "sparse":
-                return self._ensure_sparse().solve(block)
-            if self._dense_solve is None:
-                self._dense_solve = _backends.getrs_solver(*self._ensure_lu())
-            return np.column_stack([self._dense_solve(col) for col in block.T])
+                return factorization.solve(block)
+            return np.column_stack(
+                [factorization.solve(col) for col in block.T]
+            )
         except _backends.FactorizationError:
             raise _SmwFallback from None
 
@@ -952,10 +1105,11 @@ class CompiledSystem:
         Woodbury bookkeeping (capacitance system, residual check,
         refinement passes) costs more Python time than one tiny LAPACK
         solve per Newton iteration.  The plan's deltas are applied to a
-        copy of the cached assembly — so the per-fault cost is a small
-        matrix copy plus ``np.linalg.solve``, with no netlist rebuild and
-        a warm-started Newton iteration — while exactness still comes from
-        solving the fully-assembled faulty system.
+        copy of the cached assembly once; each Newton iteration (the shared
+        policy, warm-started at the baseline biases) then stamps the diode
+        companions through the plan's precomputed index arrays and calls
+        ``getrf``/``getrs`` — no netlist rebuild, while exactness still
+        comes from solving the fully-assembled faulty system.
         """
         system = self._system
         base_matrix, base_rhs = system.assemble_constant()
@@ -970,63 +1124,36 @@ class CompiledSystem:
         for row, delta in plan.branch_diag:
             matrix_static[row, row] += delta
 
-        diodes = list(plan.diodes)
+        if list(plan.diodes) == system.diodes:
+            junctions = system.junctions()
+        else:  # a diode fault: the plan's own diode set
+            junctions = _Junctions(system, plan.diodes)
         warm = self._warm_diode_voltages()
-        diode_voltages = {d.name: warm.get(d.name, 0.6) for d in diodes}
+        bias = np.array([warm.get(d.name, _COLD_BIAS) for d in plan.diodes])
 
-        solution_vector: Optional[np.ndarray] = None
-        iterations = 0
-        for iterations in range(1, _MAX_NEWTON_ITERATIONS + 1):
-            if diodes:
-                matrix = matrix_static.copy()
-                rhs = rhs_static.copy()
-                for diode in diodes:
-                    g, ieq = _System._diode_companion(
-                        diode, diode_voltages[diode.name]
-                    )
-                    system._stamp_conductance(
-                        matrix, diode.node_pos, diode.node_neg, g
-                    )
-                    system._stamp_current(
-                        rhs, diode.node_pos, diode.node_neg, ieq
-                    )
-            else:
-                matrix = matrix_static
-                rhs = rhs_static
+        def linear(g: np.ndarray, ieq: np.ndarray) -> Optional[np.ndarray]:
+            matrix = matrix_static.copy()
+            rhs = rhs_static.copy()
+            junctions.stamp_dense(matrix, g)
+            junctions.stamp_rhs(rhs, ieq)
             try:
-                with np.errstate(all="ignore"):
-                    vector = np.linalg.solve(matrix, rhs)
-            except np.linalg.LinAlgError:
+                x = _backends.DenseFactorization(matrix, overwrite=True).solve(
+                    rhs
+                )
+            except _backends.FactorizationError:
                 return None
-            if not np.all(np.isfinite(vector)):
-                return None
-            if not diodes:
-                solution_vector = vector
-                break
-            converged = True
-            for diode in diodes:
-                old_vd = diode_voltages[diode.name]
-                new_vd = system.diode_voltage(vector, diode)
-                step = new_vd - old_vd
-                if abs(step) > _MAX_DIODE_STEP:
-                    new_vd = old_vd + math.copysign(_MAX_DIODE_STEP, step)
-                    converged = False
-                elif abs(step) > _NEWTON_TOLERANCE:
-                    converged = False
-                diode_voltages[diode.name] = new_vd
-            solution_vector = vector
-            if converged:
-                break
-        else:
-            # The full path would not converge either, but let it make that
-            # call (and raise its canonical error) itself.
-            return None
+            return x if np.isfinite(x).all() else None
 
+        # Non-convergence: the full path would not converge either, but let
+        # it make that call (and raise its canonical error) itself.
+        result = _newton(junctions, bias, linear)
+        if result is None:
+            return None
+        vector, iterations = result
         self.stats.solves += 1
         self.stats.newton_iterations += iterations
         self.stats.direct_solves += 1
-        return system.to_solution(solution_vector, iterations)
-
+        return system.to_solution(vector, iterations)
 
     # -- the batched low-rank solver ----------------------------------------
 
@@ -1045,13 +1172,13 @@ class CompiledSystem:
         cached CSC matrix — the same work for every column at once.
 
         Each column keeps the per-fault checks: the baseline warm start,
-        the 0.5 V diode step limit and the iteration cap, finite solutions,
-        the residual against the true modified system, up to
-        ``_MAX_SMW_REFINEMENTS`` refinement passes (only on the columns
-        still above target) and rejection above ``_SMW_RESIDUAL_TOL``.  A
-        column failing any of them leaves the batch with ``None``
-        iterations and never holds the others back.  Returns the solution
-        block and each plan's Newton iteration count.
+        the shared Newton policy (``pnjlim`` junction limiting, the step
+        test and the iteration cap), finite solutions, the residual against
+        the true modified system, up to ``_MAX_SMW_REFINEMENTS`` refinement
+        passes (only on the columns still above target) and rejection above
+        ``_SMW_RESIDUAL_TOL``.  A column failing any of them leaves the
+        batch with ``None`` iterations and never holds the others back.
+        Returns the solution block and each plan's Newton iteration count.
         """
         with obs.span(
             "mna.batch_solve",
@@ -1131,6 +1258,7 @@ class CompiledSystem:
         d_dir = np.where(valid, np.take_along_axis(
             dirs, np.minimum(d_slot, n_slots - 1), axis=1), n_dir)
         bias = d_par[2]
+        v_crit = _critical_voltage(d_par[0], d_par[1])  # padded: inf
 
         # U and Z = A0⁻¹ U as dense n×(D+1) bases whose last column is zero
         # (padded slots).  Directions no earlier batch cached are solved as
@@ -1189,11 +1317,10 @@ class CompiledSystem:
             a_dirs, a_ddir = dirs[active], d_dir[active]
             a_valid = valid[active]
             # Diode companion models at each column's current bias.
-            i_sat, n_vt = d_par[0, active], d_par[1, active]
-            vd = np.minimum(bias[active], 2.0)
-            exp_term = np.exp(vd / n_vt)
-            g = np.maximum(i_sat * exp_term / n_vt, 1e-12) * a_valid
-            ieq = (i_sat * (exp_term - 1.0) - g * vd) * a_valid
+            n_vt = d_par[1, active]
+            g, ieq = _companions(bias[active], d_par[0, active], n_vt)
+            g *= a_valid
+            ieq *= a_valid
             gain = np.zeros((n_act, n_slots + 1))
             gain[:, :n_slots] = static_gain[active]
             np.add.at(gain, (np.broadcast_to(at, g.shape), d_slot[active]), g)
@@ -1245,12 +1372,8 @@ class CompiledSystem:
                 self.stats.factorization_reuses += todo.size
                 x[:, todo] += woodbury(corrections, todo)
             ok = error <= _SMW_RESIDUAL_TOL * scale  # NaN fails too
-            old, new = bias[active], along(x, a_ddir)
-            step = new - old
-            converged = ~(np.abs(step) > _NEWTON_TOLERANCE).any(axis=1)
-            bias[active] = np.where(
-                np.abs(step) > _MAX_DIODE_STEP,
-                old + np.copysign(_MAX_DIODE_STEP, step), new,
+            bias[active], converged = _limit_junctions(
+                bias[active], along(x, a_ddir), n_vt, v_crit[active]
             )
             finished = ok & converged
             out[:, active[finished]] = x[:, finished]

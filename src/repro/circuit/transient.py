@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.circuit import backends as _backends
-from repro.circuit.mna import _System, _is_ground
+from repro.circuit.mna import _COLD_BIAS, _System, _is_ground, _newton
 from repro.circuit.netlist import (
     Capacitor,
     CircuitError,
@@ -31,7 +31,7 @@ from repro.circuit.netlist import (
 )
 
 #: Factorizations kept per transient run.  The step matrix depends only on
-#: the diode bias vector (the C/L companion conductances are fixed for a
+#: the diode conductances (the C/L companion conductances are fixed for a
 #: fixed ``dt``), so a settled circuit re-solves the same matrix every
 #: step — a deep cache is pointless, a few slots catch the steady state
 #: plus the last transients.
@@ -84,11 +84,15 @@ def transient(
     (capacitors discharged, inductors currentless).
 
     ``backend`` picks the linear-solver engine (``None``: the process
-    default, ``auto``).  The step matrix depends only on the diode bias
-    vector — the C/L companion conductances are fixed for a fixed ``dt`` —
-    so factorizations are cached per bias vector and a circuit without
-    diodes (or one that has settled) factorizes **once** for the whole run
-    instead of re-solving an identical matrix from scratch every step.
+    default, ``auto``).  The step matrix depends only on the diode
+    companion conductances — the C/L companion conductances are fixed for a
+    fixed ``dt`` — so factorizations are cached per diode conductance
+    vector and a circuit without diodes (or one that has settled)
+    factorizes **once** for the whole run instead of re-solving an
+    identical matrix from scratch every step.  Each step's diode Newton
+    iteration follows the DC solver's policy
+    (:func:`repro.circuit.mna._newton`), warm-started at the previous
+    step's biases.
     """
     if dt <= 0 or t_stop <= 0:
         raise CircuitError("t_stop and dt must be positive")
@@ -153,41 +157,18 @@ def transient(
         if rows:
             np.add.at(static_matrix, (rows, cols), vals)
 
-    def diode_matrix(companions: List[Tuple[float, float]]):
-        """Step matrix with the given per-diode (g, ieq) companions
-        stamped in — only built on a factorization-cache miss."""
-        if resolved == "sparse":
-            rows: List[int] = []
-            cols: List[int] = []
-            vals: List[float] = []
-            for diode, (g, _) in zip(system.diodes, companions):
-                i = system._idx(diode.node_pos)
-                j = system._idx(diode.node_neg)
-                if i is not None:
-                    rows.append(i)
-                    cols.append(i)
-                    vals.append(g)
-                if j is not None:
-                    rows.append(j)
-                    cols.append(j)
-                    vals.append(g)
-                if i is not None and j is not None:
-                    rows.extend((i, j))
-                    cols.extend((j, i))
-                    vals.extend((-g, -g))
-            matrix = static_matrix + _backends.triplets_to_csc(
-                system.size, (rows, cols, vals)
-            )
-        else:
-            matrix = static_matrix.copy()
-            for diode, (g, _) in zip(system.diodes, companions):
-                system._stamp_conductance(
-                    matrix, diode.node_pos, diode.node_neg, g
-                )
-        return matrix
-
+    junctions = system.junctions()
     cache = _backends.FactorizationCache(maxsize=_TRANSIENT_CACHE_SLOTS)
     base_rhs = system.constant_rhs()
+
+    def step_matrix(g: np.ndarray):
+        """Step matrix with diode companion conductances ``g`` stamped in —
+        only built on a factorization-cache miss."""
+        if resolved == "sparse":
+            return junctions.stamped_csc(static_matrix, g)
+        matrix = static_matrix.copy()
+        junctions.stamp_dense(matrix, g)
+        return matrix
 
     steps = int(round(t_stop / dt))
     solution = np.zeros(system.size)
@@ -210,63 +191,27 @@ def transient(
             k = system.branch_index[ind.name]
             rhs[k] -= (ind.inductance / dt) * ind_current[ind.name]
 
-        # Newton loop for diodes within the step.
-        if system.diodes:
-            diode_voltages = {
-                d.name: system.diode_voltage(solution, d) or 0.6
-                for d in system.diodes
-            }
-            for _ in range(100):
-                key = tuple(
-                    diode_voltages[d.name] for d in system.diodes
-                )
-                companions = [
-                    _System._diode_companion(d, diode_voltages[d.name])
-                    for d in system.diodes
-                ]
-                step_rhs = rhs.copy()
-                for diode, (_, ieq) in zip(system.diodes, companions):
-                    system._stamp_current(
-                        step_rhs, diode.node_pos, diode.node_neg, ieq
-                    )
-                try:
-                    candidate = cache.solve(
-                        key,
-                        lambda: diode_matrix(companions),
-                        step_rhs,
-                        resolved,
-                    )
-                except _backends.FactorizationError:
-                    raise CircuitError(
-                        f"singular transient matrix at t={t:.3e}"
-                    ) from None
-                converged = True
-                for diode in system.diodes:
-                    new_vd = system.diode_voltage(candidate, diode)
-                    old_vd = diode_voltages[diode.name]
-                    delta = new_vd - old_vd
-                    if abs(delta) > 0.5:
-                        new_vd = old_vd + (0.5 if delta > 0 else -0.5)
-                        converged = False
-                    elif abs(delta) > 1e-9:
-                        converged = False
-                    diode_voltages[diode.name] = new_vd
-                solution = candidate
-                if converged:
-                    break
-            else:
-                raise CircuitError(
-                    f"transient Newton did not converge at t={t:.3e}"
-                )
-        else:
-            try:
-                solution = cache.solve(
-                    (), lambda: static_matrix, rhs, resolved
-                )
-            except _backends.FactorizationError:
-                raise CircuitError(
-                    f"singular transient matrix at t={t:.3e}"
-                ) from None
+        # The companion conductances key the factorization cache.
+        def linear(g: np.ndarray, ieq: np.ndarray) -> np.ndarray:
+            step_rhs = rhs.copy()
+            junctions.stamp_rhs(step_rhs, ieq)
+            return cache.solve(
+                g.tobytes(), lambda: step_matrix(g), step_rhs, resolved
+            )
+
+        bias = junctions.biases(solution)
+        bias[bias == 0.0] = _COLD_BIAS
+        try:
+            result = _newton(junctions, bias, linear)
+        except _backends.FactorizationError:
+            raise CircuitError(
+                f"singular transient matrix at t={t:.3e}"
+            ) from None
+        if result is None:
+            raise CircuitError(
+                f"transient Newton did not converge at t={t:.3e}"
+            )
+        solution = result[0]
 
         # Update state.
         def node_voltage(node: str) -> float:

@@ -204,8 +204,9 @@ def _presolve(
     """Solve the jobs as one :meth:`CompiledSystem.solve_replacements`
     batch; each solved job's readings come straight off the batch's block.
 
-    Jobs the batch leaves unsolved (topology changes, failed checks) get no
-    outcome and solve alone in the per-job loop.  If the batch raises, or
+    Jobs the batch leaves unsolved (topology changes, gmin islands, failed
+    checks) get no outcome; in the per-job loop ``solve_replacement`` sends
+    them straight to the full rebuild.  If the batch raises, or
     overruns the sum of the per-job budgets (``job_timeout`` per job), no
     job does: its solver counters are rolled back and each job succeeds or
     fails on its own inside :func:`_run_job_isolated`.

@@ -178,3 +178,21 @@ def test_grid_sample_is_deterministic():
         model, k=_GRID_SAMPLE_K, seed=_GRID_SEED + 1
     )
 
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_exactly_singular_matrix_raises_on_both_backends(backend):
+    """Two parallel voltage sources of different value make the MNA
+    matrix exactly singular.  Both backends must say so: the dense LAPACK
+    path used to only warn and return a NaN transient waveform."""
+    from repro.circuit import CircuitError, dc_operating_point, transient
+    from repro.circuit.netlist import Netlist
+
+    netlist = Netlist("parallel_sources")
+    netlist.voltage_source("V1", "a", "0", 5.0)
+    netlist.voltage_source("V2", "a", "0", 3.0)
+    netlist.resistor("R1", "a", "0", 10.0)
+    with pytest.raises(CircuitError, match="singular transient matrix"):
+        transient(netlist, t_stop=1e-3, dt=1e-4, backend=backend)
+    with pytest.raises(CircuitError, match="singular MNA matrix"):
+        dc_operating_point(netlist, backend=backend)

@@ -161,11 +161,14 @@ def test_campaign_stats_round_trip(campaign_results):
 #: Per-fault solver counters of each incremental campaign — (solves,
 #: smw_solves, newton_iterations, full_rebuilds, baseline_reuses).  The
 #: batched route reproduces the counts of the per-fault route it replaced.
+#: ``newton_iterations`` includes the full rebuilds' iterations
+#: (power_supply: 27 for the L1 open, system_a: 28, System B: 2 x 27,
+#: grid: 21 for the RT1_1 open; L1 and RT1_1 are bridges).
 _PINNED_COUNTERS = {
-    "power_supply": (8, 0, 59, 0, 2),
-    "system_a": (27, 0, 197, 1, 4),
-    "system_b": (203, 201, 1110, 2, 28),
-    "grid": (61, 61, 300, 0, 0),  # 4x150 grid, injection sample seed 1
+    "power_supply": (8, 0, 56, 1, 2),
+    "system_a": (27, 0, 174, 1, 4),
+    "system_b": (203, 201, 731, 2, 28),
+    "grid": (61, 60, 245, 1, 0),  # 4x150 grid, injection sample seed 1
 }
 
 

@@ -479,10 +479,10 @@ def test_mna_lu_failure_counter(case, monkeypatch):
     conversion = to_netlist(model)
     compiled = mna_mod.CompiledSystem(conversion.netlist)
 
-    def broken_factor(matrix, check_finite=True):
-        raise np.linalg.LinAlgError("singular")
+    def broken_factor(matrix, backend):
+        raise mna_mod._backends.FactorizationError("singular")
 
-    monkeypatch.setattr(mna_mod, "_lu_factor", broken_factor)
+    monkeypatch.setattr(mna_mod._backends, "factorize", broken_factor)
     obs.enable()
     with pytest.raises(mna_mod._SmwFallback):
         compiled._ensure_lu()
